@@ -1,9 +1,9 @@
 // Timing microbenchmarks over the dbgroup workload (Section 7.1's real
 // research-group database): witness-tracked evaluation of the four report
 // queries and whole cleaning sessions against the planted dirty instance.
-// Split out of perf_microbench so the storage-engine before/after
-// comparison (tools/bench.sh, BENCH_intern.json) can rebuild this file
-// unchanged against both engines — it only touches boundary APIs.
+// Split out of perf_microbench and kept to boundary APIs only, so the same
+// file builds unchanged against older and newer storage engines for
+// before/after comparisons.
 
 #include <benchmark/benchmark.h>
 

@@ -4,8 +4,8 @@
 // the strict parse-order engine, the semi-join root reduction on a
 // low-selectivity join, and end-to-end evaluation of the soccer and
 // dbgroup workload queries under each engine. Each benchmark labels its
-// run with the planned atom order and reports tuple counts as counters so
-// tools/bench.sh can embed both in BENCH_optimizer.json.
+// run with the planned atom order and reports tuple counts as counters, so
+// the JSON output (--benchmark_out) records both.
 
 #include <benchmark/benchmark.h>
 
@@ -62,7 +62,6 @@ const AdversarialData& Adversarial() {
               {Value("k" + std::to_string(i * (kFactsRows / kDimRows)))}})
           .value();
     }
-    d->db->WarmIndexes();
     return true;
   }();
   (void)initialized;
@@ -97,7 +96,6 @@ const SemiJoinData& SemiJoin() {
       d->db->Insert({facts, {Value(shared), Value("v")}}).value();
       d->db->Insert({big, {Value(shared)}}).value();
     }
-    d->db->WarmIndexes();
     return true;
   }();
   (void)initialized;
@@ -105,7 +103,7 @@ const SemiJoinData& SemiJoin() {
 }
 
 /// The plan's atom order as a compact label ("Dim Facts"), embedded into
-/// the benchmark JSON so BENCH_optimizer.json records what each engine ran.
+/// the benchmark JSON so it records what each engine ran.
 std::string PlanOrderLabel(const query::CQuery& q,
                            const relational::Database& db, EvalMode mode) {
   query::ColumnStats stats(&db);

@@ -143,7 +143,6 @@ Transcript RunDirect(const workload::FigureOneSample& s,
   relational::Database db = *s.dirty;
   crowd::SimulatedOracle sim(s.ground_truth.get());
   Session::Options options;
-  options.cleaner.num_threads = 1;
   options.panel.sample_size = 1;
   options.seed = spec.seed;
   Session session(&db, {&sim}, options);

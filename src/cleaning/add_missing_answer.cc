@@ -5,7 +5,6 @@
 #include <string>
 
 #include "src/cleaning/constraint_enforcer.h"
-#include "src/common/thread_pool.h"
 #include "src/query/evaluator.h"
 
 namespace qoco::cleaning {
@@ -147,22 +146,9 @@ common::Result<InsertResult> AddMissingAnswer(
   auto push_split = [&](std::vector<query::CQuery> parts) {
     if (parts.size() == 2) {
       size_t limit = config.max_assignments_per_subquery + 1;
-      size_t counts[2];
-      auto count_part = [&](size_t i) {
-        counts[i] = evaluator.FindExtensions(parts[i], empty, limit).size();
-      };
-      if (config.pool != nullptr && config.pool->num_threads() > 1 &&
-          !config.pool->OnWorkerThread()) {
-        // The two sides' candidate counts are independent read-only
-        // searches over D; warm the lazy per-column indexes first so
-        // concurrent cold probes cannot race on an index build.
-        db->WarmIndexes();
-        config.pool->ParallelFor(2, count_part);
-      } else {
-        count_part(0);
-        count_part(1);
-      }
-      if (counts[1] < counts[0]) std::swap(parts[0], parts[1]);
+      size_t count0 = evaluator.FindExtensions(parts[0], empty, limit).size();
+      size_t count1 = evaluator.FindExtensions(parts[1], empty, limit).size();
+      if (count1 < count0) std::swap(parts[0], parts[1]);
     }
     for (query::CQuery& sub : parts) queue.push_back(std::move(sub));
   };

@@ -10,10 +10,6 @@
 #include "src/relational/constraints.h"
 #include "src/relational/database.h"
 
-namespace qoco::common {
-class ThreadPool;
-}  // namespace qoco::common
-
 namespace qoco::cleaning {
 
 /// Tuning knobs for Algorithm 2.
@@ -38,12 +34,6 @@ struct InsertionConfig {
   /// rivals are crowd-verified (false ones deleted), dangling references
   /// crowd-completed; inadmissible insertions are skipped.
   const relational::ConstraintSet* constraints = nullptr;
-  /// Optional worker pool: parallelizes the frontier expansion that ranks a
-  /// split's two subqueries by selectivity (each side's candidate count is
-  /// an independent read-only search over D). Results are identical to
-  /// serial for any pool; crowd questions always come from the calling
-  /// thread. Not owned.
-  common::ThreadPool* pool = nullptr;
 };
 
 /// Outcome of one answer-insertion run.

@@ -7,7 +7,6 @@
 #include "src/cleaning/add_missing_answer.h"
 #include "src/cleaning/remove_wrong_answer.h"
 #include "src/crowd/enumeration_estimator.h"
-#include "src/query/evaluator.h"
 
 namespace qoco::cleaning {
 
@@ -23,7 +22,6 @@ relational::Tuple Concat(const relational::Tuple& a,
 }  // namespace
 
 void AggregateCleaner::SyncBaseView(const EditList& edits) {
-  if (base_view_ == nullptr) return;
   for (const Edit& e : edits) {
     if (e.kind == Edit::Kind::kInsert) {
       base_view_->OnInsert(e.fact);
@@ -118,12 +116,10 @@ common::Result<CleanerStats> AggregateCleaner::Run() {
   crowd::QuestionCounts baseline = panel_->counts();
   std::set<relational::Tuple> verified_groups;
 
-  // Incremental path: materialize the base query once and delta-maintain
-  // it across every edit of the session; phase B's repeated "current base
-  // answers" reads then cost nothing.
-  std::optional<query::IncrementalView> base_view;
-  if (config_.incremental_eval) base_view.emplace(q_.base(), db_);
-  base_view_ = base_view.has_value() ? &*base_view : nullptr;
+  // Materialize the base query once and delta-maintain it across every
+  // edit of the session; phase B's repeated "current base answers" reads
+  // then cost nothing.
+  base_view_.emplace(q_.base(), db_);
 
   bool changed = true;
   while (changed && stats.iterations < config_.max_iterations) {
@@ -184,15 +180,8 @@ common::Result<CleanerStats> AggregateCleaner::Run() {
     crowd::EnumerationEstimator estimator(config_.enumeration_nulls_to_stop);
     std::set<relational::Tuple> attempted;
     while (!estimator.IsLikelyComplete()) {
-      std::vector<relational::Tuple> base_answers;
-      if (base_view_ != nullptr) {
-        base_answers = base_view_->result().AnswerTuples();
-      } else {
-        query::Evaluator base_eval(db_);
-        base_answers = base_eval.Evaluate(q_.base()).AnswerTuples();
-      }
-      std::optional<relational::Tuple> missing_base =
-          panel_->MissingAnswer(q_.base(), base_answers);
+      std::optional<relational::Tuple> missing_base = panel_->MissingAnswer(
+          q_.base(), base_view_->result().AnswerTuples());
       if (missing_base.has_value() &&
           !attempted.insert(*missing_base).second) {
         // An earlier insertion attempt for this base answer failed
@@ -226,7 +215,6 @@ common::Result<CleanerStats> AggregateCleaner::Run() {
     }
   }
 
-  base_view_ = nullptr;
   stats.questions = panel_->counts() - baseline;
   return stats;
 }

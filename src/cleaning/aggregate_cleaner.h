@@ -1,6 +1,8 @@
 #ifndef QOCO_CLEANING_AGGREGATE_CLEANER_H_
 #define QOCO_CLEANING_AGGREGATE_CLEANER_H_
 
+#include <optional>
+
 #include "src/cleaning/cleaner.h"
 #include "src/query/aggregate.h"
 #include "src/query/incremental_view.h"
@@ -53,8 +55,7 @@ class AggregateCleaner {
   /// Current units of `group` over D.
   std::vector<relational::Tuple> UnitsOf(const relational::Tuple& group) const;
 
-  /// Replays already-applied edits into the maintained base-query view
-  /// (no-op on the full-reevaluation path).
+  /// Replays already-applied edits into the maintained base-query view.
   void SyncBaseView(const EditList& edits);
 
   const query::AggregateQuery& q_;
@@ -62,9 +63,9 @@ class AggregateCleaner {
   crowd::CrowdPanel* panel_;
   CleanerConfig config_;
   common::Rng rng_;
-  /// Set for the duration of Run() on the incremental path: the maintained
-  /// base-query view backing phase B's missing-base-answer enumeration.
-  query::IncrementalView* base_view_ = nullptr;
+  /// Built by Run(): the maintained base-query view backing phase B's
+  /// missing-base-answer enumeration.
+  std::optional<query::IncrementalView> base_view_;
 };
 
 }  // namespace qoco::cleaning

@@ -7,7 +7,6 @@
 
 #include "src/common/check.h"
 #include "src/common/invariant.h"
-#include "src/common/thread_pool.h"
 #include "src/crowd/enumeration_estimator.h"
 #include "src/query/evaluator.h"
 #include "src/query/incremental_view.h"
@@ -16,51 +15,27 @@ namespace qoco::cleaning {
 
 common::Result<CleanerStats> QocoCleaner::Run() {
   CleanerStats stats;
-  // One pool for the whole session, shared by evaluation, view
-  // maintenance, and candidate scoring. Skipped entirely (pool == nullptr
-  // → serial everywhere) when the resolved thread count is 1, so
-  // single-threaded runs carry zero scheduling overhead.
-  std::optional<common::ThreadPool> pool_storage;
-  common::ThreadPool* pool = nullptr;
-  if (common::ThreadPool::ResolveNumThreads(config_.num_threads) > 1) {
-    pool_storage.emplace(config_.num_threads);
-    pool = &*pool_storage;
-  }
-  InsertionConfig insertion_config = config_.insertion;
-  insertion_config.pool = pool;
-  const query::EvalMode eval_mode = config_.optimizer
-                                        ? query::EvalMode::kCostBased
-                                        : query::EvalMode::kLegacyGreedy;
-  query::Evaluator evaluator(db_, pool);
-  evaluator.set_mode(eval_mode);
   // EXPLAIN hook: dump the session query's plan once, before any edit,
   // when the environment asks for it. Diagnostics only — stderr, so
   // transcripts on stdout stay untouched.
   if (const char* flag = std::getenv("QOCO_EXPLAIN");
       flag != nullptr && flag[0] == '1') {
-    std::fputs(evaluator.ExplainPlan(q_).c_str(), stderr);
+    std::fputs(query::Evaluator(db_).ExplainPlan(q_).c_str(), stderr);
   }
-  // Incremental path: pay full-query cost once here, delta cost per edit.
-  std::optional<query::IncrementalView> view;
-  if (config_.incremental_eval) view.emplace(q_, db_, pool, eval_mode);
-  // The refreshed view after the edits applied so far.
-  auto current_answers = [&]() {
-    return view.has_value() ? view->result().AnswerTuples()
-                            : evaluator.Evaluate(q_).AnswerTuples();
-  };
+  // Pay full-query cost once here, delta cost per edit.
+  query::IncrementalView view(q_, db_);
   // Replays already-applied edits into the view (delta maintenance).
   common::AuditTicker audit_ticker(kDebugAuditPeriod);
   auto sync_view = [&](const EditList& edits) {
-    if (!view.has_value()) return;
     for (const Edit& e : edits) {
       if (e.kind == Edit::Kind::kInsert) {
-        view->OnInsert(e.fact);
+        view.OnInsert(e.fact);
       } else {
-        view->OnErase(e.fact);
+        view.OnErase(e.fact);
       }
     }
     if (common::kDebugChecksEnabled && audit_ticker.Tick()) {
-      QOCO_CHECK_OK(view->AuditInvariants());
+      QOCO_CHECK_OK(view.AuditInvariants());
       QOCO_CHECK_OK(db_->AuditInvariants());
     }
   };
@@ -71,7 +46,7 @@ common::Result<CleanerStats> QocoCleaner::Run() {
   while (stats.iterations < config_.max_iterations) {
     // Re-entry condition (line 1): first iteration, or unverified answers
     // remain (insertions/deletions may have created new errors).
-    std::vector<relational::Tuple> current = current_answers();
+    std::vector<relational::Tuple> current = view.result().AnswerTuples();
     bool has_unverified = false;
     for (const relational::Tuple& t : current) {
       if (!verified.contains(t)) has_unverified = true;
@@ -86,7 +61,7 @@ common::Result<CleanerStats> QocoCleaner::Run() {
     // the wrong ones. The view refreshes after each removal since edits
     // can change the result.
     while (config_.do_deletion) {
-      current = current_answers();
+      current = view.result().AnswerTuples();
       const relational::Tuple* next_unverified = nullptr;
       for (const relational::Tuple& t : current) {
         if (!verified.contains(t)) {
@@ -100,21 +75,13 @@ common::Result<CleanerStats> QocoCleaner::Run() {
         verified.insert(t);
         continue;
       }
-      RemoveResult removal;
-      if (view.has_value()) {
-        // The view already holds t's witnesses; no re-evaluation needed.
-        const query::AnswerInfo* info = view->result().Find(t);
-        QOCO_ASSIGN_OR_RETURN(
-            removal,
-            RemoveWrongAnswerFromWitnesses(
-                info != nullptr ? info->witnesses : provenance::WitnessSet{},
-                panel_, config_.deletion_policy, &rng_, config_.trust, pool));
-      } else {
-        QOCO_ASSIGN_OR_RETURN(
-            removal,
-            RemoveWrongAnswer(q_, *db_, t, panel_, config_.deletion_policy,
-                              &rng_, config_.trust, pool));
-      }
+      // The view already holds t's witnesses; no re-evaluation needed.
+      const query::AnswerInfo* info = view.result().Find(t);
+      QOCO_ASSIGN_OR_RETURN(
+          RemoveResult removal,
+          RemoveWrongAnswerFromWitnesses(
+              info != nullptr ? info->witnesses : provenance::WitnessSet{},
+              panel_, config_.deletion_policy, &rng_, config_.trust));
       if (removal.edits.empty()) {
         // Contradictory crowd verdicts (the answer was judged wrong but
         // every witness tuple verified true) are possible with imperfect
@@ -135,7 +102,7 @@ common::Result<CleanerStats> QocoCleaner::Run() {
     crowd::EnumerationEstimator estimator(config_.enumeration_nulls_to_stop);
     std::set<relational::Tuple> attempted;
     while (config_.do_insertion && !estimator.IsLikelyComplete()) {
-      current = current_answers();
+      current = view.result().AnswerTuples();
       std::optional<relational::Tuple> missing =
           panel_->MissingAnswer(q_, current);
       if (missing.has_value() && !attempted.insert(*missing).second) {
@@ -149,7 +116,7 @@ common::Result<CleanerStats> QocoCleaner::Run() {
       if (!missing.has_value()) continue;
       QOCO_ASSIGN_OR_RETURN(
           InsertResult insertion,
-          AddMissingAnswer(q_, db_, *missing, panel_, insertion_config,
+          AddMissingAnswer(q_, db_, *missing, panel_, config_.insertion,
                            &rng_));
       // Algorithm 2 applies its edits as it goes; replay them into the view.
       sync_view(insertion.edits);

@@ -36,26 +36,6 @@ struct CleanerConfig {
   /// is guaranteed (Propositions 3.3/3.4), but imperfect experts can
   /// oscillate.
   size_t max_iterations = 25;
-  /// When true (the default), the cleaning loop materializes the view once
-  /// and delta-maintains it across edits (query::IncrementalView); when
-  /// false, every round re-evaluates Q from scratch — the pre-incremental
-  /// behavior, kept for A/B verification and ablation.
-  bool incremental_eval = true;
-  /// When true (the default), unlimited query evaluations run under the
-  /// cost-based planner (explicit root choice + semi-join reduction,
-  /// query::EvalMode::kCostBased); when false, the pre-planner adaptive
-  /// engine (kLegacyGreedy) runs instead — kept for A/B verification.
-  /// Transcripts are bit-identical either way; only evaluation time
-  /// changes. Set QOCO_EXPLAIN=1 to dump each session's query plan to
-  /// stderr once at startup.
-  bool optimizer = true;
-  /// Worker threads for parallel query evaluation and candidate scoring.
-  /// 0 (the default) resolves via ThreadPool::ResolveNumThreads: the
-  /// QOCO_THREADS environment variable if set, else hardware_concurrency.
-  /// 1 forces fully serial execution. Answers, witnesses, questions, and
-  /// edits are bit-identical for every value (the determinism contract in
-  /// DESIGN.md §Parallel evaluation) — only wall-clock time changes.
-  size_t num_threads = 0;
 };
 
 /// Aggregate outcome of a cleaning session.
@@ -81,6 +61,10 @@ struct CleanerStats {
 /// Algorithm 2. Fixing one error class can expose errors of the other
 /// (Example 6.1); the outer loop converges because every edit moves D
 /// closer to DG (Proposition 3.3).
+///
+/// The view is materialized once and delta-maintained across every edit
+/// (query::IncrementalView). A session runs on the calling thread. Set
+/// QOCO_EXPLAIN=1 to dump the session query's plan to stderr at startup.
 class QocoCleaner {
  public:
   /// `db` is cleaned in place; `panel` supplies the crowd; all must

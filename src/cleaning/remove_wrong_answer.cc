@@ -5,7 +5,6 @@
 #include <set>
 #include <unordered_map>
 
-#include "src/common/thread_pool.h"
 #include "src/hittingset/hitting_set.h"
 #include "src/query/evaluator.h"
 
@@ -92,42 +91,19 @@ int PickRandom(const std::vector<std::vector<int>>& sets, common::Rng* rng) {
 /// greedily approximated minimum hitting set of the sets NOT containing f
 /// (removing Γ makes f counterfactual for the answer). Picks the element
 /// with maximum responsibility; ties fall back to frequency then rng.
-///
-/// The per-element hitting-set approximations — the expensive part, one
-/// greedy cover per alive element — are independent pure functions of
-/// `sets`, so a pool computes them concurrently into per-element slots.
-/// The selection scan below then runs serially in ascending element order
-/// (and rng fires only once, on the final tie-break), making the pick and
-/// the rng stream identical to a serial run for any thread count.
 int PickMostResponsible(const std::vector<std::vector<int>>& sets,
-                        common::Rng* rng, common::ThreadPool* pool) {
-  std::set<int> alive_set;
-  for (const auto& s : sets) alive_set.insert(s.begin(), s.end());
-  std::vector<int> alive(alive_set.begin(), alive_set.end());
-  auto contingency_of = [&sets](int f) {
+                        common::Rng* rng) {
+  std::set<int> alive;
+  for (const auto& s : sets) alive.insert(s.begin(), s.end());
+  int best = -1;
+  size_t best_contingency = 0;
+  std::vector<int> ties;
+  for (int f : alive) {
     hittingset::Instance rest;
     for (const auto& s : sets) {
       if (std::find(s.begin(), s.end(), f) == s.end()) rest.sets.push_back(s);
     }
-    return hittingset::GreedyHittingSet(rest).size();
-  };
-  std::vector<size_t> contingencies(alive.size());
-  if (pool != nullptr && pool->num_threads() > 1 && alive.size() > 1 &&
-      !pool->OnWorkerThread()) {
-    pool->ParallelFor(alive.size(), [&](size_t i) {
-      contingencies[i] = contingency_of(alive[i]);
-    });
-  } else {
-    for (size_t i = 0; i < alive.size(); ++i) {
-      contingencies[i] = contingency_of(alive[i]);
-    }
-  }
-  int best = -1;
-  size_t best_contingency = 0;
-  std::vector<int> ties;
-  for (size_t i = 0; i < alive.size(); ++i) {
-    int f = alive[i];
-    size_t contingency = contingencies[i];
+    size_t contingency = hittingset::GreedyHittingSet(rest).size();
     if (best == -1 || contingency < best_contingency) {
       best = f;
       best_contingency = contingency;
@@ -180,20 +156,18 @@ int PickLeastTrusted(const std::vector<std::vector<int>>& sets,
 common::Result<RemoveResult> RemoveWrongAnswer(
     const query::CQuery& q, const relational::Database& db,
     const relational::Tuple& t, crowd::CrowdPanel* crowd,
-    DeletionPolicy policy, common::Rng* rng, const TrustModel* trust,
-    common::ThreadPool* pool) {
-  query::Evaluator evaluator(&db, pool);
+    DeletionPolicy policy, common::Rng* rng, const TrustModel* trust) {
+  query::Evaluator evaluator(&db);
   query::EvalResult result = evaluator.Evaluate(q);
   const query::AnswerInfo* info = result.Find(t);
   if (info == nullptr) return RemoveResult{};  // Already absent.
   return RemoveWrongAnswerFromWitnesses(info->witnesses, crowd, policy, rng,
-                                        trust, pool);
+                                        trust);
 }
 
 common::Result<RemoveResult> RemoveWrongAnswerFromWitnesses(
     const provenance::WitnessSet& witnesses, crowd::CrowdPanel* crowd,
-    DeletionPolicy policy, common::Rng* rng, const TrustModel* trust,
-    common::ThreadPool* pool) {
+    DeletionPolicy policy, common::Rng* rng, const TrustModel* trust) {
   static const UniformTrust kUniformTrust;
   if (trust == nullptr) trust = &kUniformTrust;
   RemoveResult out;
@@ -247,7 +221,7 @@ common::Result<RemoveResult> RemoveWrongAnswerFromWitnesses(
             candidate = PickRandom(scratch, rng);
             break;
           case DeletionPolicy::kResponsibility:
-            candidate = PickMostResponsible(scratch, rng, pool);
+            candidate = PickMostResponsible(scratch, rng);
             break;
           case DeletionPolicy::kLeastTrusted:
             candidate = PickLeastTrusted(scratch, state.facts, *trust, rng);

@@ -10,10 +10,6 @@
 #include "src/query/query.h"
 #include "src/relational/database.h"
 
-namespace qoco::common {
-class ThreadPool;
-}  // namespace qoco::common
-
 namespace qoco::cleaning {
 
 /// Which tuple the deletion algorithm verifies next (Section 7.2's
@@ -62,14 +58,11 @@ struct RemoveResult {
 /// perfect oracle the algorithm then always terminates with a hitting set
 /// of false facts. `rng` breaks frequency ties (and drives kRandom);
 /// `trust` is consulted only by kLeastTrusted (defaults to UniformTrust).
-/// A non-null `pool` parallelizes the per-candidate responsibility scoring
-/// (kResponsibility's per-element hitting-set approximations); selections
-/// and rng consumption are identical to a serial run for any pool.
 common::Result<RemoveResult> RemoveWrongAnswer(
     const query::CQuery& q, const relational::Database& db,
     const relational::Tuple& t, crowd::CrowdPanel* crowd,
     DeletionPolicy policy, common::Rng* rng,
-    const TrustModel* trust = nullptr, common::ThreadPool* pool = nullptr);
+    const TrustModel* trust = nullptr);
 
 /// Core of Algorithm 1 operating directly on a witness set. Used by
 /// RemoveWrongAnswer and by the UCQ cleaner (which combines the witness
@@ -77,7 +70,7 @@ common::Result<RemoveResult> RemoveWrongAnswer(
 common::Result<RemoveResult> RemoveWrongAnswerFromWitnesses(
     const provenance::WitnessSet& witnesses, crowd::CrowdPanel* crowd,
     DeletionPolicy policy, common::Rng* rng,
-    const TrustModel* trust = nullptr, common::ThreadPool* pool = nullptr);
+    const TrustModel* trust = nullptr);
 
 /// Human-readable policy name for experiment output.
 const char* DeletionPolicyName(DeletionPolicy policy);

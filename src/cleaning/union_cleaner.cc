@@ -9,7 +9,6 @@
 #include "src/cleaning/cleaner.h"
 #include "src/common/check.h"
 #include "src/common/invariant.h"
-#include "src/common/thread_pool.h"
 #include "src/crowd/enumeration_estimator.h"
 #include "src/query/evaluator.h"
 #include "src/query/incremental_view.h"
@@ -30,31 +29,15 @@ bool UnionCleaner::UnionContains(const relational::Tuple& t) const {
 }
 
 common::Result<RemoveResult> UnionCleaner::RemoveWrongUnionAnswer(
-    const relational::Tuple& t) {
+    const query::IncrementalUnionView& view, const relational::Tuple& t) {
   // Combine witnesses across all disjuncts that produce t: the answer is
   // gone only once every such witness is destroyed, and sharing one
   // hitting-set instance lets one NO answer prune across disjuncts.
-  provenance::WitnessSet combined;
-  if (union_view_ != nullptr) {
-    combined = union_view_->CombinedWitnesses(t);
-  } else {
-    query::Evaluator evaluator(db_);
-    for (const query::CQuery& disjunct : q_.disjuncts()) {
-      query::EvalResult result = evaluator.Evaluate(disjunct);
-      const query::AnswerInfo* info = result.Find(t);
-      if (info == nullptr) continue;
-      for (const provenance::Witness& w : info->witnesses) {
-        if (std::find(combined.begin(), combined.end(), w) ==
-            combined.end()) {
-          combined.push_back(w);
-        }
-      }
-    }
-  }
+  provenance::WitnessSet combined = view.CombinedWitnesses(t);
   if (combined.empty()) return RemoveResult{};
   return RemoveWrongAnswerFromWitnesses(combined, panel_,
                                         config_.deletion_policy, &rng_,
-                                        config_.trust, pool_);
+                                        config_.trust);
 }
 
 common::Result<InsertResult> UnionCleaner::AddMissingUnionAnswer(
@@ -75,11 +58,9 @@ common::Result<InsertResult> UnionCleaner::AddMissingUnionAnswer(
   for (const auto& [vars, index] : order) {
     const query::CQuery& disjunct = q_.disjuncts()[index];
     if (!panel_->VerifyAnswer(disjunct, t)) continue;
-    InsertionConfig insertion_config = config_.insertion;
-    insertion_config.pool = pool_;
     QOCO_ASSIGN_OR_RETURN(
         InsertResult attempt,
-        AddMissingAnswer(disjunct, db_, t, panel_, insertion_config,
+        AddMissingAnswer(disjunct, db_, t, panel_, config_.insertion,
                          &rng_));
     out.edits.insert(out.edits.end(), attempt.edits.begin(),
                      attempt.edits.end());
@@ -95,47 +76,29 @@ common::Result<InsertResult> UnionCleaner::AddMissingUnionAnswer(
 
 common::Result<CleanerStats> UnionCleaner::Run() {
   CleanerStats stats;
-  // One pool for the session (see QocoCleaner::Run for the rationale).
-  std::optional<common::ThreadPool> pool_storage;
-  pool_ = nullptr;  // May be stale after an error return of a prior Run().
-  if (common::ThreadPool::ResolveNumThreads(config_.num_threads) > 1) {
-    pool_storage.emplace(config_.num_threads);
-    pool_ = &*pool_storage;
-  }
-  const query::EvalMode eval_mode = config_.optimizer
-                                        ? query::EvalMode::kCostBased
-                                        : query::EvalMode::kLegacyGreedy;
-  query::Evaluator evaluator(db_, pool_);
-  evaluator.set_mode(eval_mode);
   // EXPLAIN hook: one plan dump per disjunct, before any edit, when the
   // environment asks for it (stderr only; transcripts stay untouched).
   if (const char* flag = std::getenv("QOCO_EXPLAIN");
       flag != nullptr && flag[0] == '1') {
+    query::Evaluator evaluator(db_);
     for (const query::CQuery& disjunct : q_.disjuncts()) {
       std::fputs(evaluator.ExplainPlan(disjunct).c_str(), stderr);
     }
   }
-  // Incremental path: one materialized view per disjunct, delta-maintained
-  // across every edit of the session (see query::IncrementalUnionView).
-  std::optional<query::IncrementalUnionView> view;
-  if (config_.incremental_eval) view.emplace(q_, db_, pool_, eval_mode);
-  union_view_ = view.has_value() ? &*view : nullptr;
-  auto current_answers = [&]() {
-    return view.has_value() ? view->AnswerTuples()
-                            : evaluator.Evaluate(q_).AnswerTuples();
-  };
+  // One materialized view per disjunct, delta-maintained across every edit
+  // of the session (see query::IncrementalUnionView).
+  query::IncrementalUnionView view(q_, db_);
   common::AuditTicker audit_ticker(kDebugAuditPeriod);
   auto sync_view = [&](const EditList& edits) {
-    if (!view.has_value()) return;
     for (const Edit& e : edits) {
       if (e.kind == Edit::Kind::kInsert) {
-        view->OnInsert(e.fact);
+        view.OnInsert(e.fact);
       } else {
-        view->OnErase(e.fact);
+        view.OnErase(e.fact);
       }
     }
     if (common::kDebugChecksEnabled && audit_ticker.Tick()) {
-      QOCO_CHECK_OK(view->AuditInvariants());
+      QOCO_CHECK_OK(view.AuditInvariants());
       QOCO_CHECK_OK(db_->AuditInvariants());
     }
   };
@@ -144,7 +107,7 @@ common::Result<CleanerStats> UnionCleaner::Run() {
 
   bool first_iteration = true;
   while (stats.iterations < config_.max_iterations) {
-    std::vector<relational::Tuple> current = current_answers();
+    std::vector<relational::Tuple> current = view.AnswerTuples();
     bool has_unverified = false;
     for (const relational::Tuple& t : current) {
       if (!verified.contains(t)) has_unverified = true;
@@ -155,7 +118,7 @@ common::Result<CleanerStats> UnionCleaner::Run() {
 
     // Deletion part over the union result.
     while (config_.do_deletion) {
-      current = current_answers();
+      current = view.AnswerTuples();
       const relational::Tuple* next_unverified = nullptr;
       for (const relational::Tuple& t : current) {
         if (!verified.contains(t)) {
@@ -169,7 +132,8 @@ common::Result<CleanerStats> UnionCleaner::Run() {
         verified.insert(t);
         continue;
       }
-      QOCO_ASSIGN_OR_RETURN(RemoveResult removal, RemoveWrongUnionAnswer(t));
+      QOCO_ASSIGN_OR_RETURN(RemoveResult removal,
+                            RemoveWrongUnionAnswer(view, t));
       if (removal.edits.empty()) {
         verified.insert(t);  // Contradictory verdicts; accept for progress.
         continue;
@@ -186,7 +150,7 @@ common::Result<CleanerStats> UnionCleaner::Run() {
     crowd::EnumerationEstimator estimator(config_.enumeration_nulls_to_stop);
     std::set<relational::Tuple> attempted;
     while (config_.do_insertion && !estimator.IsLikelyComplete()) {
-      current = current_answers();
+      current = view.AnswerTuples();
       std::optional<relational::Tuple> missing =
           panel_->MissingAnswer(q_, current);
       if (missing.has_value() && !attempted.insert(*missing).second) {
@@ -208,8 +172,6 @@ common::Result<CleanerStats> UnionCleaner::Run() {
     }
   }
 
-  union_view_ = nullptr;
-  pool_ = nullptr;  // pool_storage dies with this frame.
   stats.questions = panel_->counts() - baseline;
   return stats;
 }

@@ -30,9 +30,10 @@ class UnionCleaner {
   common::Result<CleanerStats> Run();
 
  private:
-  /// Removes a wrong union answer by hitting the combined witness sets.
+  /// Removes a wrong union answer by hitting the combined witness sets,
+  /// read from the session's maintained `view`.
   common::Result<RemoveResult> RemoveWrongUnionAnswer(
-      const relational::Tuple& t);
+      const query::IncrementalUnionView& view, const relational::Tuple& t);
 
   /// Adds a missing union answer by trying disjuncts in order of how close
   /// their instantiated bodies are to being satisfied over D.
@@ -47,12 +48,6 @@ class UnionCleaner {
   crowd::CrowdPanel* panel_;
   CleanerConfig config_;
   common::Rng rng_;
-  /// Set for the duration of Run() on the incremental path so the removal
-  /// helper reads cached witnesses instead of re-evaluating disjuncts.
-  const query::IncrementalUnionView* union_view_ = nullptr;
-  /// Session pool (see CleanerConfig::num_threads); set for the duration
-  /// of Run(), nullptr otherwise. Not owned by the helpers.
-  common::ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace qoco::cleaning

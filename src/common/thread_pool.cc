@@ -1,6 +1,5 @@
 #include "src/common/thread_pool.h"
 
-#include <algorithm>
 #include <cstdlib>
 #include <limits>
 #include <string>
@@ -8,20 +7,6 @@
 #include "src/common/invariant.h"
 
 namespace qoco::common {
-
-namespace {
-
-/// ParallelFor splits [0, n) into at most this many chunks per worker:
-/// enough slack for stealing to rebalance skewed iteration costs, coarse
-/// enough that the per-chunk scheduling handshake stays negligible.
-constexpr size_t kChunksPerThread = 4;
-
-/// Set for the duration of WorkerLoop; lets parallel entry points detect
-/// that they are already running on this pool and degrade to inline
-/// execution instead of deadlocking on their own workers.
-thread_local const ThreadPool* tls_worker_pool = nullptr;
-
-}  // namespace
 
 void Notification::Notify() {
   MutexLock lk(mu_);
@@ -54,8 +39,6 @@ ThreadPool::ThreadPool(size_t num_threads) {
 
 ThreadPool::~ThreadPool() { Shutdown(); }
 
-bool ThreadPool::OnWorkerThread() const { return tls_worker_pool == this; }
-
 size_t ThreadPool::ResolveNumThreads(size_t requested) {
   if (requested > 0) return requested;
   if (const char* env = std::getenv("QOCO_THREADS");
@@ -69,16 +52,6 @@ size_t ThreadPool::ResolveNumThreads(size_t requested) {
   }
   size_t hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
-}
-
-bool ThreadPool::Enqueue(size_t target, std::function<void()> task) {
-  MutexLock lk(wake_mu_);
-  if (shutdown_ || workers_.empty()) return false;
-  queues_[target % queues_.size()].tasks.push_back(std::move(task));
-  ++pending_;
-  ++submitted_total_;
-  wake_cv_.notify_one();
-  return true;
 }
 
 Status ThreadPool::Submit(std::function<void()> task) {
@@ -134,7 +107,6 @@ std::function<void()> ThreadPool::PopTaskLocked(size_t self) {
 }
 
 void ThreadPool::WorkerLoop(size_t self) {
-  tls_worker_pool = this;
   MutexLock lk(wake_mu_);
   for (;;) {
     // Explicit wait loop (not the predicate overload): the predicate reads
@@ -173,59 +145,6 @@ void ThreadPool::Shutdown() {
   for (std::thread& w : workers_) {
     if (w.joinable()) w.join();
   }
-}
-
-void ThreadPool::ParallelFor(size_t n,
-                             const std::function<void(size_t)>& body) {
-  if (n == 0) return;
-  bool inline_run = workers_.empty() || OnWorkerThread();
-  if (!inline_run) {
-    MutexLock lk(wake_mu_);
-    inline_run = shutdown_;
-  }
-  if (inline_run) {
-    for (size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-
-  const size_t chunks = std::min(n, num_threads_ * kChunksPerThread);
-
-  // Per-call completion latch and first-error slot. The error from the
-  // lowest chunk index wins so the rethrown exception is deterministic.
-  struct ForState {
-    std::mutex mu;
-    std::condition_variable done;
-    size_t remaining;
-    std::exception_ptr first_error;
-    size_t first_error_chunk;
-  } state;
-  state.remaining = chunks;
-  state.first_error_chunk = std::numeric_limits<size_t>::max();
-
-  for (size_t c = 0; c < chunks; ++c) {
-    const size_t begin = n * c / chunks;
-    const size_t end = n * (c + 1) / chunks;
-    auto chunk_task = [&state, &body, begin, end, c] {
-      try {
-        for (size_t i = begin; i < end; ++i) body(i);
-      } catch (...) {
-        std::unique_lock<std::mutex> lk(state.mu);
-        if (c < state.first_error_chunk) {
-          state.first_error_chunk = c;
-          state.first_error = std::current_exception();
-        }
-      }
-      std::unique_lock<std::mutex> lk(state.mu);
-      if (--state.remaining == 0) state.done.notify_all();
-    };
-    if (!Enqueue(c % num_threads_, chunk_task)) {
-      chunk_task();  // Shutdown raced in: run the chunk on the caller.
-    }
-  }
-
-  std::unique_lock<std::mutex> lk(state.mu);
-  state.done.wait(lk, [&state] { return state.remaining == 0; });
-  if (state.first_error) std::rethrow_exception(state.first_error);
 }
 
 Status ThreadPool::AuditInvariants() const {

@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <thread>
@@ -44,38 +43,28 @@ class Notification {
   bool notified_ QOCO_GUARDED_BY(mu_) = false;
 };
 
-/// Fixed-size work-stealing thread pool behind every parallel hot path
-/// (query evaluation, hitting-set candidate scoring, the benchmark sweep).
+/// Fixed-size work-stealing thread pool. It runs whole cleaning sessions
+/// side by side in the service (src/service/session_manager.h) and
+/// dispatches blocking crowd calls (crowd::BlockingOracleAdapter); a single
+/// session never fans out onto it (DESIGN.md §Concurrency).
 ///
-/// Design contract, in decreasing order of importance:
+/// Design contract:
 ///
-///  1. **Determinism of results.** The pool never decides *what* a parallel
-///     computation produces, only *when* each piece runs. ParallelFor hands
-///     out index ranges; callers collect into per-index (or per-chunk)
-///     slots, so the assembled result is identical to a serial loop
-///     regardless of thread count, stealing order, or chunking. The serial
-///     fallback (single-thread pools, nested calls) is literally a for
-///     loop.
-///  2. **Graceful degradation.** A pool built with `num_threads <= 1` (or
+///  1. **Graceful degradation.** A pool built with `num_threads <= 1` (or
 ///     when hardware_concurrency is unknown and nothing overrides it)
-///     spawns no worker threads at all: Submit and ParallelFor run inline
-///     on the caller. Code written against the pool never needs a separate
-///     serial code path.
-///  3. **Work stealing.** Each worker owns a deque; Submit round-robins
+///     spawns no worker threads at all: Submit runs the task inline on the
+///     caller. Code written against the pool never needs a separate serial
+///     code path.
+///  2. **Work stealing.** Each worker owns a deque; Submit round-robins
 ///     tasks across deques; a worker pops its own deque from the front and,
 ///     when empty, steals from the back of a victim's. A long-running task
 ///     therefore never strands the work queued behind it.
 ///
-/// Nested ParallelFor from inside a worker runs inline on that worker
-/// (deterministic and deadlock-free by construction). Exceptions thrown by
-/// ParallelFor bodies are captured and the one from the lowest chunk index
-/// is rethrown on the calling thread once every chunk finished — also a
-/// deterministic choice. Submitted (fire-and-forget) tasks must not throw;
-/// ParallelFor is the exception-safe surface.
+/// Submitted tasks must not throw.
 ///
-/// Thread safety: Submit/ParallelFor/Wait may be called from any thread,
-/// including concurrently. Shutdown drains queued work, joins the workers
-/// and is idempotent; Submit afterwards is rejected with FailedPrecondition.
+/// Thread safety: Submit/Wait may be called from any thread, including
+/// concurrently. Shutdown drains queued work, joins the workers and is
+/// idempotent; Submit afterwards is rejected with FailedPrecondition.
 class ThreadPool {
  public:
   /// `num_threads == 0` resolves via ResolveNumThreads (QOCO_THREADS env
@@ -89,11 +78,6 @@ class ThreadPool {
   /// Worker count this pool schedules onto (1 for an inline pool).
   size_t num_threads() const { return num_threads_; }
 
-  /// True iff the calling thread is one of this pool's workers. Parallel
-  /// entry points use this to fall back to inline execution instead of
-  /// deadlocking on (or re-warming shared state under) their own pool.
-  bool OnWorkerThread() const;
-
   /// Enqueues a fire-and-forget task. On an inline pool the task runs
   /// before Submit returns. Rejected with FailedPrecondition once Shutdown
   /// has begun. Tasks must not throw.
@@ -104,26 +88,6 @@ class ThreadPool {
 
   /// Drains outstanding tasks, joins the workers. Idempotent.
   void Shutdown();
-
-  /// Invokes `body(i)` for every i in [0, n), partitioned into contiguous
-  /// chunks executed across the workers (the calling thread blocks until
-  /// all chunks finished). Chunks are contiguous and ascending, so a caller
-  /// writing into slot i — or concatenating per-chunk buffers in chunk
-  /// order — reproduces the serial iteration order exactly. Runs inline
-  /// when the pool is inline, when called from a worker of this pool
-  /// (nesting), or after Shutdown.
-  void ParallelFor(size_t n, const std::function<void(size_t)>& body);
-
-  /// Deterministic-order map: returns {fn(0), ..., fn(n-1)} with each call
-  /// placed at its own index, independent of execution order. T must be
-  /// default-constructible; distinct vector slots are written by distinct
-  /// workers (safe — do not instantiate with std::vector<bool>).
-  template <typename T>
-  std::vector<T> ParallelMap(size_t n, const std::function<T(size_t)>& fn) {
-    std::vector<T> out(n);
-    ParallelFor(n, [&](size_t i) { out[i] = fn(i); });
-    return out;
-  }
 
   /// Deep audit of the pool's scheduling accounting: queued + running +
   /// completed tasks must add up to submitted tasks, no queue may hold work
@@ -144,18 +108,14 @@ class ThreadPool {
 
   /// One worker's deque. Own work is popped from the front; thieves take
   /// from the back, so a victim and its thief touch opposite ends. All
-  /// queue access happens under wake_mu_: ParallelFor chunks are coarse
-  /// (milliseconds of work per pop), so what stealing buys here is the
-  /// scheduling *discipline* — a long task never strands the work queued
-  /// behind it — not lock sharding; one mutex keeps the sleep/wake and
-  /// accounting protocol free of lost-notify windows by construction.
+  /// queue access happens under wake_mu_: tasks are coarse (a whole
+  /// session or a blocking crowd call per pop), so what stealing buys here
+  /// is the scheduling *discipline* — a long task never strands the work
+  /// queued behind it — not lock sharding; one mutex keeps the sleep/wake
+  /// and accounting protocol free of lost-notify windows by construction.
   struct WorkerQueue {
     std::deque<std::function<void()>> tasks;
   };
-
-  /// Enqueues onto worker queue `target` and publishes one unit of pending
-  /// work. Returns false when the pool is shut down or inline.
-  bool Enqueue(size_t target, std::function<void()> task);
 
   /// Pops own front / steals a victim's back and moves the unit from
   /// pending to running. Returns an empty function when every queue is

@@ -45,7 +45,7 @@
 /// catalog growth, the edit journal) and therefore must never run on a
 /// ThreadPool worker. No compiler semantics — the contract is enforced by
 /// qoco-analyze rule `worker-intern`, which flags calls to any function so
-/// annotated from inside ParallelFor/ParallelMap/Submit argument regions.
+/// annotated from inside ThreadPool::Submit argument regions.
 #define QOCO_COORDINATOR_ONLY
 
 namespace qoco::common {

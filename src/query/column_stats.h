@@ -59,12 +59,11 @@ struct RelationSummary {
 /// edits invalidate stats for free (the relation bumps its version; the
 /// next plan rebuilds the one summary that moved) and a quiet database
 /// plans out of pure cache. Recomputing walks the relation's posting-list
-/// indexes, which WarmIndexes() has typically already built.
+/// indexes, building any that are still cold.
 ///
 /// Threading: refresh mutates cached state under a const call, exactly like
-/// Relation's lazy index build — reads must come from the coordinating
-/// thread. The planner honors this by only planning on the coordinator
-/// (worker shards receive the finished Plan by reference).
+/// Relation's lazy index build — so a ColumnStats, like the Evaluator that
+/// owns it, is read from one thread at a time.
 class ColumnStats {
  public:
   /// `db` must outlive the stats (the Evaluator owns both lifetimes).

@@ -11,10 +11,6 @@
 #include "src/query/query.h"
 #include "src/relational/database.h"
 
-namespace qoco::common {
-class ThreadPool;
-}  // namespace qoco::common
-
 namespace qoco::query {
 
 /// One answer tuple together with its valid assignments A(t, Q, D) and its
@@ -82,18 +78,8 @@ class Evaluator {
   /// The database must outlive the evaluator. The evaluator always reads
   /// the database's *current* state, so it can be reused across edits
   /// (plans re-derive from fresh ColumnStats when a relation's version
-  /// moved). With a non-null `pool`, unlimited FindExtensions calls (and
-  /// everything built on them: Evaluate, IncrementalView refreshes)
-  /// partition the plan's root scan across the pool's workers; results are
-  /// bit-identical to serial evaluation — see the determinism contract in
-  /// DESIGN.md §Parallel evaluation.
-  explicit Evaluator(const relational::Database* db,
-                     common::ThreadPool* pool = nullptr)
-      : db_(db), pool_(pool), stats_(db) {}
-
-  /// Swaps the pool used for subsequent evaluations (nullptr = serial).
-  void set_pool(common::ThreadPool* pool) { pool_ = pool; }
-  common::ThreadPool* pool() const { return pool_; }
+  /// moved).
+  explicit Evaluator(const relational::Database* db) : db_(db), stats_(db) {}
 
   /// Selects the join-order engine for unlimited searches (see EvalMode;
   /// limited searches always use the legacy engine). Default: kCostBased.
@@ -101,7 +87,7 @@ class Evaluator {
   EvalMode mode() const { return mode_; }
 
   /// The lazily maintained statistics plans derive from; exposed for
-  /// audits and tests (coordinator-thread reads only, like evaluation).
+  /// audits and tests (single-threaded reads only, like evaluation).
   const ColumnStats& stats() const { return stats_; }
 
   /// EXPLAIN: the plan an unlimited evaluation of Q (from the empty
@@ -141,10 +127,9 @@ class Evaluator {
 
  private:
   const relational::Database* db_;
-  common::ThreadPool* pool_ = nullptr;
   EvalMode mode_ = EvalMode::kCostBased;
-  // Lazily refreshed on the coordinator thread while planning; mutable for
-  // the same build-on-demand reason as Relation's indexes.
+  // Lazily refreshed while planning; mutable for the same build-on-demand
+  // reason as Relation's indexes.
   mutable ColumnStats stats_;
 };
 

@@ -49,10 +49,8 @@ bool AssignmentUsesFact(const CQuery& q, const Assignment& a,
 
 }  // namespace
 
-IncrementalView::IncrementalView(CQuery q, const relational::Database* db,
-                                 common::ThreadPool* pool, EvalMode mode)
-    : q_(std::move(q)), db_(db), evaluator_(db, pool) {
-  evaluator_.set_mode(mode);
+IncrementalView::IncrementalView(CQuery q, const relational::Database* db)
+    : q_(std::move(q)), db_(db), evaluator_(db) {
   Refresh();
   stats_ = Stats{};
   stats_.full_evals = 1;
@@ -240,12 +238,10 @@ common::Status IncrementalView::AuditInvariants() const {
 }
 
 IncrementalUnionView::IncrementalUnionView(const UnionQuery& q,
-                                           const relational::Database* db,
-                                           common::ThreadPool* pool,
-                                           EvalMode mode) {
+                                           const relational::Database* db) {
   views_.reserve(q.disjuncts().size());
   for (const CQuery& disjunct : q.disjuncts()) {
-    views_.emplace_back(disjunct, db, pool, mode);
+    views_.emplace_back(disjunct, db);
   }
 }
 

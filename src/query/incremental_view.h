@@ -40,23 +40,7 @@ namespace qoco::query {
 class IncrementalView {
  public:
   /// Evaluates Q(D) once. `db` must outlive the view; the query is copied.
-  /// An optional thread pool parallelizes the full evaluations and the
-  /// per-delta extension searches (see Evaluator); results are identical to
-  /// serial maintenance for any pool, so the pool may even change between
-  /// notifications. `mode` selects the join-order engine for the initial
-  /// materialization and all maintenance (every mode computes the same
-  /// EvalResult).
-  IncrementalView(CQuery q, const relational::Database* db,
-                  common::ThreadPool* pool = nullptr,
-                  EvalMode mode = EvalMode::kCostBased);
-
-  /// Swaps the pool used for subsequent maintenance (nullptr = serial).
-  void set_pool(common::ThreadPool* pool) { evaluator_.set_pool(pool); }
-
-  /// Selects the join-order engine for the underlying evaluator (see
-  /// EvalMode). Safe to flip between notifications: every mode computes
-  /// the same EvalResult.
-  void set_mode(EvalMode mode) { evaluator_.set_mode(mode); }
+  IncrementalView(CQuery q, const relational::Database* db);
 
   const CQuery& query() const { return q_; }
 
@@ -111,19 +95,7 @@ class IncrementalView {
 /// witness sets across disjuncts for the shared hitting-set instance.
 class IncrementalUnionView {
  public:
-  IncrementalUnionView(const UnionQuery& q, const relational::Database* db,
-                       common::ThreadPool* pool = nullptr,
-                       EvalMode mode = EvalMode::kCostBased);
-
-  /// Swaps the pool on every disjunct view (nullptr = serial).
-  void set_pool(common::ThreadPool* pool) {
-    for (IncrementalView& v : views_) v.set_pool(pool);
-  }
-
-  /// Selects the join-order engine on every disjunct view.
-  void set_mode(EvalMode mode) {
-    for (IncrementalView& v : views_) v.set_mode(mode);
-  }
+  IncrementalUnionView(const UnionQuery& q, const relational::Database* db);
 
   /// Distinct answers of the union, sorted.
   std::vector<relational::Tuple> AnswerTuples() const;

@@ -24,8 +24,9 @@ enum class EvalMode {
   /// DESIGN.md §Query planning for why the suffix stays adaptive).
   kCostBased,
   /// The pre-planner engine, byte-for-byte: per-node adaptive greedy
-  /// (most bound positions, then fewest candidates). Kept for A/B
-  /// comparison; CleanerConfig::optimizer=false selects it.
+  /// (most bound positions, then fewest candidates). Limited searches
+  /// always run it; for unlimited ones it is the reference the planner
+  /// tests and benchmarks compare against.
   kLegacyGreedy,
   /// Atoms expand in the order the query was written, no reduction — the
   /// naive reference the equivalence fuzz and the adversarial-order
@@ -47,8 +48,8 @@ struct PlanStep {
 /// possibly semi-join-reduced) candidate list, the predicted expansion
 /// order for the remaining atoms, and per-variable allowed-id sets. Plans
 /// are a pure function of the query, the initial binding, and the stats
-/// snapshot — all read on the coordinator thread — so identical inputs
-/// produce identical plans at any thread count (the determinism contract).
+/// snapshot, so identical inputs produce identical plans (the determinism
+/// contract).
 struct Plan {
   /// Provably empty result: a fully-resolved inequality fails under the
   /// initial binding, some resolved term's posting list is empty, or some
@@ -133,7 +134,7 @@ struct Plan {
 class Planner {
  public:
   /// Both pointers must outlive the planner; `stats` is refreshed lazily
-  /// on the calling (coordinator) thread.
+  /// on the calling thread.
   Planner(const relational::Database* db, const ColumnStats* stats)
       : db_(db), stats_(stats) {}
 

@@ -78,10 +78,6 @@ size_t Database::Distance(const Database& other) const {
   return diff;
 }
 
-void Database::WarmIndexes() const {
-  for (const Relation& r : relations_) r.WarmIndexes();
-}
-
 std::string Database::FactToString(const Fact& fact) const {
   return catalog_->relation_name(fact.relation) + TupleToString(fact.tuple);
 }

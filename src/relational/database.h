@@ -70,11 +70,6 @@ class Database {
   /// Renders the fact as "Rel(v1, v2, ...)" using the catalog.
   std::string FactToString(const Fact& fact) const;
 
-  /// Warms every relation's per-column indexes (see Relation::WarmIndexes);
-  /// called by parallel evaluation before sharing the database across
-  /// worker threads as a read-only structure.
-  void WarmIndexes() const;
-
   /// Runs Relation::AuditInvariants on every relation; violations are
   /// prefixed with the relation's catalog name.
   common::Status AuditInvariants() const;

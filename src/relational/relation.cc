@@ -91,10 +91,6 @@ void Relation::RepointPosting(size_t column, ValueId id, uint32_t from,
   *slot = to;
 }
 
-void Relation::WarmIndexes() const {
-  for (size_t col = 0; col < arity_; ++col) EnsureIndex(col);
-}
-
 void Relation::EnsureIndex(size_t column) const {
   if (index_valid_[column]) return;
   IdPostingMap& index = column_index_[column];

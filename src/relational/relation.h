@@ -119,15 +119,6 @@ class Relation {
   /// Distinct values appearing in `column`, in value order.
   std::vector<Value> ColumnDomain(size_t column) const;
 
-  /// Builds every per-column index that is not built yet. RowsWithId and
-  /// CountRowsWithId build indexes lazily on first probe, which mutates
-  /// `mutable` state under a const call — fine single-threaded, a data race
-  /// once concurrent readers probe the same cold column. Parallel
-  /// evaluation therefore warms all indexes from the coordinating thread
-  /// before fanning out; afterwards concurrent const probes touch only
-  /// immutable-between-mutations state.
-  void WarmIndexes() const;
-
   /// Deep audit of every class invariant: every row id materializes through
   /// the dictionary (no dangling/orphan ids), membership round-trips
   /// through the row store, every built posting list entry matches its row

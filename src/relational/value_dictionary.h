@@ -27,13 +27,13 @@ namespace qoco::relational {
 /// keep their values interned, and a ValueId obtained once stays valid for
 /// the catalog's lifetime.
 ///
-/// Threading contract (DESIGN.md §Parallel evaluation): Intern* mutate and
-/// must only be called from the coordinating thread — never from inside a
-/// ParallelFor region. Find/Materialize/Compare and friends are const and
-/// safe to call concurrently between interns. The evaluator compiles query
-/// constants to ids (Find, non-mutating) before fanning out, and worker
-/// threads only ever bind ids copied from rows, so parallel evaluation
-/// never interns.
+/// Threading contract (DESIGN.md §Concurrency): Intern* mutate and must
+/// only be called from the coordinating thread — never from a task running
+/// on a ThreadPool worker. Find/Materialize/Compare and friends are const
+/// and safe to call concurrently between interns. The evaluator compiles
+/// query constants to ids with the non-mutating Find, so evaluation never
+/// interns; the service interns every session's queries and data at
+/// admission, before the session runs on a pool worker.
 class ValueDictionary {
  public:
   ValueDictionary() = default;

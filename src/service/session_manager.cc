@@ -57,7 +57,6 @@ common::Result<SessionId> SessionManager::Submit(SessionSpec spec) {
   state->steps = std::move(steps);
   state->seed = spec.seed;
   state->cleaner = spec.cleaner;
-  state->cleaner.num_threads = 1;  // serial inside; parallel across sessions
   state->scope = std::move(spec.scope);
 
   SessionId id = 0;

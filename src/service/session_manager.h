@@ -42,9 +42,8 @@ struct SessionSpec {
   };
   std::vector<Step> steps;
   uint64_t seed = 1;
-  /// Per-session cleaner tuning. num_threads is forced to 1: each session
-  /// is serial inside (its transcript must match a solo run byte for byte);
-  /// the service's parallelism is *across* sessions.
+  /// Per-session cleaner tuning. Each session runs serially on one pool
+  /// worker; the service's parallelism is *across* sessions.
   cleaning::CleanerConfig cleaner;
   /// The commit-journal position this session reads from: its private
   /// database is the base snapshot plus exactly this journal prefix.

@@ -2,12 +2,9 @@
 // creates answers, delete garbage-collects witnesses, irrelevant relations
 // are skipped, notifications are idempotent), a randomized equivalence fuzz
 // over the soccer and dbgroup workloads asserting the maintained view
-// matches a from-scratch Evaluator::Evaluate after every edit, and an A/B
-// check that the incremental and full-reevaluation cleaner paths repair a
-// planted view to the same result. The fuzz additionally re-randomizes the
-// view's thread pool (serial / 2 / 8 workers) before every step: delta
-// maintenance must produce the same view no matter which pool — if any —
-// performs each refresh.
+// matches a from-scratch Evaluator::Evaluate after every edit, and a check
+// that the view-maintaining cleaner repairs a planted view to the ground
+// truth.
 
 #include "src/query/incremental_view.h"
 
@@ -20,7 +17,6 @@
 
 #include "src/cleaning/cleaner.h"
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
 #include "src/crowd/crowd_panel.h"
 #include "src/crowd/simulated_oracle.h"
 #include "src/query/evaluator.h"
@@ -207,12 +203,9 @@ TEST_F(IncrementalViewTest, UnionViewMergesAndCombinesWitnesses) {
 /// reference database has and `db` lacks, or fabricate one by perturbing a
 /// column of an existing row with a value from the reference column domain.
 /// (`performed` is an out-param because gtest ASSERTs need a void return.)
-/// `pools` (possibly containing nullptr = serial) is sampled before every
-/// step so each delta refresh runs under a randomly chosen thread count.
 void FuzzQuery(const CQuery& q, Database* db, const Database& reference,
-               size_t steps, common::Rng* rng, size_t* performed,
-               const std::vector<common::ThreadPool*>& pools = {}) {
-  Evaluator evaluator(db);  // Serial reference evaluation.
+               size_t steps, common::Rng* rng, size_t* performed) {
+  Evaluator evaluator(db);  // From-scratch reference evaluation.
   IncrementalView view(q, db);
   ExpectSameResult(view.result(), evaluator.Evaluate(q), "initial");
 
@@ -224,7 +217,6 @@ void FuzzQuery(const CQuery& q, Database* db, const Database& reference,
   }
   std::vector<Fact> erased_pool;
   for (size_t step = 0; step < steps; ++step) {
-    if (!pools.empty()) view.set_pool(pools[rng->Index(pools.size())]);
     relational::RelationId rel = rels[rng->Index(rels.size())];
     const relational::Relation& instance = db->relation(rel);
     bool do_erase = !instance.empty() && rng->Chance(0.5);
@@ -277,9 +269,6 @@ TEST(IncrementalViewFuzzTest, MatchesFullEvaluationOnSoccer) {
   auto data = workload::MakeSoccerData(params);
   ASSERT_TRUE(data.ok());
   common::Rng rng(2026);
-  common::ThreadPool pool2(2);
-  common::ThreadPool pool8(8);
-  std::vector<common::ThreadPool*> pools = {nullptr, &pool2, &pool8};
   size_t total = 0;
   for (size_t qi = 1; qi <= 5; ++qi) {
     auto q = workload::SoccerQuery(qi, *data->catalog);
@@ -289,7 +278,7 @@ TEST(IncrementalViewFuzzTest, MatchesFullEvaluationOnSoccer) {
     auto dirty = workload::MakeDirty(*data->ground_truth, noise);
     ASSERT_TRUE(dirty.ok());
     Database db = std::move(dirty).value();
-    FuzzQuery(*q, &db, *data->ground_truth, 150, &rng, &total, pools);
+    FuzzQuery(*q, &db, *data->ground_truth, 150, &rng, &total);
     if (::testing::Test::HasFatalFailure()) return;
   }
   EXPECT_GE(total, 600u);
@@ -299,19 +288,19 @@ TEST(IncrementalViewFuzzTest, MatchesFullEvaluationOnDbGroup) {
   auto data = workload::MakeDbGroupData(workload::DbGroupParams{});
   ASSERT_TRUE(data.ok());
   common::Rng rng(77);
-  common::ThreadPool pool2(2);
-  common::ThreadPool pool8(8);
-  std::vector<common::ThreadPool*> pools = {nullptr, &pool2, &pool8};
   size_t total = 0;
   for (size_t qi = 0; qi < data->report_queries.size(); ++qi) {
     Database db = *data->dirty;
     FuzzQuery(data->report_queries[qi], &db, *data->ground_truth, 130, &rng,
-              &total, pools);
+              &total);
     if (::testing::Test::HasFatalFailure()) return;
   }
   EXPECT_GE(total, 400u);
 }
 
+// The cleaner's maintained view repairs planted errors exactly: the final
+// answers equal Q(DG), and every planted wrong (missing) answer is counted
+// once as removed (added).
 TEST(IncrementalCleanerABTest, BothPathsRepairToGroundTruthView) {
   workload::SoccerParams params;
   params.num_tournaments = 8;
@@ -326,23 +315,17 @@ TEST(IncrementalCleanerABTest, BothPathsRepairToGroundTruthView) {
   Evaluator truth_eval(data->ground_truth.get());
   std::vector<Tuple> truth_answers = truth_eval.Evaluate(*q).AnswerTuples();
 
-  for (bool incremental : {true, false}) {
-    Database db = planted->db;
-    crowd::SimulatedOracle oracle(data->ground_truth.get());
-    crowd::CrowdPanel panel({&oracle}, crowd::PanelConfig{1});
-    cleaning::CleanerConfig config;
-    config.incremental_eval = incremental;
-    cleaning::QocoCleaner cleaner(*q, &db, &panel, config, common::Rng(4));
-    auto stats = cleaner.Run();
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    Evaluator eval(&db);
-    EXPECT_EQ(eval.Evaluate(*q).AnswerTuples(), truth_answers)
-        << "incremental=" << incremental;
-    EXPECT_EQ(stats->wrong_answers_removed, planted->wrong.size())
-        << "incremental=" << incremental;
-    EXPECT_EQ(stats->missing_answers_added, planted->missing.size())
-        << "incremental=" << incremental;
-  }
+  Database db = planted->db;
+  crowd::SimulatedOracle oracle(data->ground_truth.get());
+  crowd::CrowdPanel panel({&oracle}, crowd::PanelConfig{1});
+  cleaning::QocoCleaner cleaner(*q, &db, &panel, cleaning::CleanerConfig{},
+                                common::Rng(4));
+  auto stats = cleaner.Run();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  Evaluator eval(&db);
+  EXPECT_EQ(eval.Evaluate(*q).AnswerTuples(), truth_answers);
+  EXPECT_EQ(stats->wrong_answers_removed, planted->wrong.size());
+  EXPECT_EQ(stats->missing_answers_added, planted->missing.size());
 }
 
 }  // namespace

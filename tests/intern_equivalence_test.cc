@@ -6,11 +6,7 @@
 // entirely in Value space (no Assignment, no ValueId, no posting lists).
 // Across the figure-one / soccer / dbgroup / union workloads and random
 // edit sequences, the interned evaluator must produce the same answers and
-// the same witness sets as the reference, and its rendered transcript
-// (answers, witnesses, assignments, in discovery order) must be
-// byte-identical at 1 and 8 threads. Cleaning sessions (question sequence +
-// edit sequence) are likewise required to be byte-identical across thread
-// counts.
+// the same witness sets as the reference.
 //
 // The corruption half seeds one dictionary invariant violation per test
 // through a friend backdoor and asserts ValueDictionary::AuditInvariants
@@ -28,12 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "src/cleaning/cleaner.h"
-#include "src/cleaning/edit.h"
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
-#include "src/crowd/crowd_panel.h"
-#include "src/crowd/simulated_oracle.h"
 #include "src/query/evaluator.h"
 #include "src/query/parser.h"
 #include "src/relational/database.h"
@@ -107,8 +98,11 @@ TEST(ValueDictionaryAuditTest, DetectsDensityGap) {
 
 TEST(ValueDictionaryAuditTest, DetectsSlotHoldingInlineRangeInt) {
   ValueDictionary dict = PopulatedDictionary();
-  // Small non-negative ints must encode inline, never occupy a slot.
-  ValueDictionaryCorruptor::Slots(dict).push_back(Value(7));
+  // Small non-negative ints must encode inline, never occupy a slot. (A
+  // named copy: moving a Value temporary in trips GCC 12's false
+  // -Wmaybe-uninitialized, PR105593.)
+  const Value seven(7);
+  ValueDictionaryCorruptor::Slots(dict).push_back(seven);
   ValueDictionaryCorruptor::IntSlots(dict)[7] =
       static_cast<uint32_t>(dict.size() - 1);
   ExpectViolation(dict.AuditInvariants(), "inline-range int");
@@ -200,10 +194,8 @@ RefResult ReferenceEvaluate(const query::CQuery& q, const Database& db) {
 }
 
 /// The interned engine's result, materialized into the same shape.
-RefResult EngineEvaluate(const query::CQuery& q, const Database& db,
-                         size_t threads) {
-  common::ThreadPool pool(threads);
-  query::Evaluator eval(&db, threads > 1 ? &pool : nullptr);
+RefResult EngineEvaluate(const query::CQuery& q, const Database& db) {
+  query::Evaluator eval(&db);
   query::EvalResult result = eval.Evaluate(q);
   RefResult out;
   for (const query::AnswerInfo& info : result.answers()) {
@@ -217,40 +209,18 @@ RefResult EngineEvaluate(const query::CQuery& q, const Database& db,
   return out;
 }
 
-/// Renders a witness-tracked evaluation in discovery order — the exact
-/// bytes the thread-count comparison pins.
-std::string RenderEvaluation(const query::CQuery& q, const Database& db,
-                             size_t threads) {
-  common::ThreadPool pool(threads);
-  query::Evaluator eval(&db, threads > 1 ? &pool : nullptr);
-  query::EvalResult result = eval.Evaluate(q);
-  std::string out;
-  for (const query::AnswerInfo& info : result.answers()) {
-    out += "answer " + TupleToString(info.tuple) + "\n";
-    for (const provenance::Witness& w : info.witnesses) {
-      out += "  witness " + w.ToString(db) + "\n";
-    }
-    for (const query::Assignment& a : info.assignments) {
-      out += "  assignment " + a.ToString(q) + "\n";
-    }
-  }
-  return out;
-}
-
 void ExpectEquivalent(const query::CQuery& q, const Database& db,
                       const std::string& context) {
   RefResult want = ReferenceEvaluate(q, db);
-  RefResult got1 = EngineEvaluate(q, db, 1);
-  ASSERT_EQ(got1.size(), want.size()) << context << ": answer count";
+  RefResult got = EngineEvaluate(q, db);
+  ASSERT_EQ(got.size(), want.size()) << context << ": answer count";
   for (const auto& [tuple, witnesses] : want) {
-    auto it = got1.find(tuple);
-    ASSERT_NE(it, got1.end())
+    auto it = got.find(tuple);
+    ASSERT_NE(it, got.end())
         << context << ": engine misses answer " << TupleToString(tuple);
     EXPECT_EQ(it->second, witnesses)
         << context << ": witness sets differ for " << TupleToString(tuple);
   }
-  EXPECT_EQ(RenderEvaluation(q, db, 1), RenderEvaluation(q, db, 8))
-      << context << ": transcript diverges between 1 and 8 threads";
 }
 
 /// Random erase/re-insert walk over the facts the query reads, checking
@@ -345,60 +315,6 @@ TEST(InternEquivalenceTest, UnionQueryAnswersMatchPerDisjunctReference) {
   std::vector<Tuple> got = eval.Evaluate(*u).AnswerTuples();
   EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
       << "union answers diverge from per-disjunct reference";
-}
-
-// ---------------------------------------------------------------------------
-// Cleaning-session transcripts across thread counts.
-// ---------------------------------------------------------------------------
-
-/// A full cleaning session rendered as text: every edit in order, the
-/// question counts, the final answers and database. Any interning leak into
-/// question order or edit order shows up as a byte difference.
-std::string RenderSession(const query::CQuery& q, const Database& dirty,
-                          const Database& ground_truth, size_t threads) {
-  Database db = dirty;
-  crowd::SimulatedOracle oracle(&ground_truth);
-  crowd::CrowdPanel panel({&oracle}, crowd::PanelConfig{1});
-  cleaning::CleanerConfig config;
-  config.num_threads = threads;
-  cleaning::QocoCleaner cleaner(q, &db, &panel, config, common::Rng(17));
-  auto stats = cleaner.Run();
-  EXPECT_TRUE(stats.ok()) << stats.status().ToString();
-  if (!stats.ok()) return std::string();
-  std::string out;
-  for (const cleaning::Edit& e : stats->edits) {
-    out += "edit " + cleaning::EditToString(e, db) + "\n";
-  }
-  out += "questions " + crowd::ToString(stats->questions) + "\n";
-  query::Evaluator eval(&db);
-  for (const Tuple& t : eval.Evaluate(q).AnswerTuples()) {
-    out += "answer " + TupleToString(t) + "\n";
-  }
-  std::vector<Fact> facts = db.AllFacts();
-  std::sort(facts.begin(), facts.end());
-  for (const Fact& f : facts) out += "fact " + db.FactToString(f) + "\n";
-  return out;
-}
-
-TEST(InternEquivalenceTest, CleaningTranscriptsIdenticalAcrossThreads) {
-  auto sample = workload::MakeFigureOneSample();
-  ASSERT_TRUE(sample.ok());
-  EXPECT_EQ(
-      RenderSession(sample->q1, *sample->dirty, *sample->ground_truth, 1),
-      RenderSession(sample->q1, *sample->dirty, *sample->ground_truth, 8));
-
-  workload::SoccerParams params;
-  params.num_tournaments = 4;
-  params.teams_per_tournament = 6;
-  auto data = workload::MakeSoccerData(params);
-  ASSERT_TRUE(data.ok());
-  auto q = workload::SoccerQuery(3, *data->catalog);
-  ASSERT_TRUE(q.ok());
-  auto planted =
-      workload::PlantErrors(*q, *data->ground_truth, 1, 1, /*seed=*/77);
-  ASSERT_TRUE(planted.ok());
-  EXPECT_EQ(RenderSession(*q, planted->db, *data->ground_truth, 1),
-            RenderSession(*q, planted->db, *data->ground_truth, 8));
 }
 
 }  // namespace

@@ -4,9 +4,6 @@
 // parse-order plan, and the pre-planner legacy greedy) must compute the
 // same answers with the same witness sets and the same valid-assignment
 // sets — the planner may only reorder work, never change what is found.
-// Each mode's rendered evaluation must additionally be byte-identical at 1
-// and 8 threads (the determinism contract: plans are built once on the
-// coordinator, workers only execute).
 
 #include <gtest/gtest.h>
 
@@ -17,7 +14,6 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
 #include "src/query/evaluator.h"
 #include "src/query/planner.h"
 #include "src/relational/database.h"
@@ -32,7 +28,6 @@ namespace {
 using relational::Database;
 using relational::Fact;
 using relational::Tuple;
-using relational::TupleToString;
 
 /// The full semantic content of an evaluation, mode-independent: answers
 /// mapped to their witness sets (sorted fact lists) and assignment sets
@@ -46,9 +41,8 @@ struct CanonicalResult {
 };
 
 CanonicalResult Canonicalize(const query::CQuery& q, const Database& db,
-                             query::EvalMode mode, size_t threads) {
-  common::ThreadPool pool(threads);
-  query::Evaluator eval(&db, threads > 1 ? &pool : nullptr);
+                             query::EvalMode mode) {
+  query::Evaluator eval(&db);
   eval.set_mode(mode);
   query::EvalResult result = eval.Evaluate(q);
   CanonicalResult out;
@@ -67,45 +61,18 @@ CanonicalResult Canonicalize(const query::CQuery& q, const Database& db,
   return out;
 }
 
-/// Discovery-order rendering — the bytes pinned across thread counts
-/// within one mode.
-std::string Render(const query::CQuery& q, const Database& db,
-                   query::EvalMode mode, size_t threads) {
-  common::ThreadPool pool(threads);
-  query::Evaluator eval(&db, threads > 1 ? &pool : nullptr);
-  eval.set_mode(mode);
-  query::EvalResult result = eval.Evaluate(q);
-  std::string out;
-  for (const query::AnswerInfo& info : result.answers()) {
-    out += "answer " + TupleToString(info.tuple) + "\n";
-    for (const provenance::Witness& w : info.witnesses) {
-      out += "  witness " + w.ToString(db) + "\n";
-    }
-    for (const query::Assignment& a : info.assignments) {
-      out += "  assignment " + a.ToString(q) + "\n";
-    }
-  }
-  return out;
-}
-
 void ExpectModesAgree(const query::CQuery& q, const Database& db,
                       const std::string& context) {
   const CanonicalResult cost_based =
-      Canonicalize(q, db, query::EvalMode::kCostBased, 1);
+      Canonicalize(q, db, query::EvalMode::kCostBased);
   const CanonicalResult legacy =
-      Canonicalize(q, db, query::EvalMode::kLegacyGreedy, 1);
+      Canonicalize(q, db, query::EvalMode::kLegacyGreedy);
   const CanonicalResult parse_order =
-      Canonicalize(q, db, query::EvalMode::kParseOrder, 1);
+      Canonicalize(q, db, query::EvalMode::kParseOrder);
   EXPECT_EQ(cost_based == legacy, true)
       << context << ": cost-based diverges from legacy-greedy";
   EXPECT_EQ(cost_based == parse_order, true)
       << context << ": cost-based diverges from parse-order";
-  for (query::EvalMode mode :
-       {query::EvalMode::kCostBased, query::EvalMode::kParseOrder}) {
-    EXPECT_EQ(Render(q, db, mode, 1), Render(q, db, mode, 8))
-        << context << ": " << query::EvalModeName(mode)
-        << " transcript diverges between 1 and 8 threads";
-  }
 }
 
 /// Random erase/re-insert walk over the facts the query reads, checking

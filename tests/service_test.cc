@@ -246,7 +246,6 @@ DirectRun RunDirect(const workload::FigureOneSample& s, const SessionSpec& spec,
                     crowd::Oracle* oracle) {
   relational::Database db = *s.dirty;
   Session::Options options;
-  options.cleaner.num_threads = 1;
   options.panel.sample_size = 1;
   options.seed = spec.seed;
   Session session(&db, {oracle}, options);
@@ -761,8 +760,12 @@ TEST_F(ServiceTest, OracleFailureFailsSessionCleanlyAndLateAnswerIsDiscarded) {
   retry_spec.scope = "member0-retry";
   crowd::SimulatedOracle reference_oracle(s_->ground_truth.get());
   DirectRun reference = RunDirect(*s_, retry_spec, &reference_oracle);
+  // Driven like the first session, so its finish observer has returned
+  // before `driver` goes out of scope.
+  driver.AddLive(1);
   auto id2 = st.manager.Submit(retry_spec);
   ASSERT_TRUE(id2.ok());
+  ASSERT_TRUE(driver.Drive());
   auto result2 = st.manager.Wait(*id2);
   ASSERT_TRUE(result2.ok());
   ASSERT_TRUE(result2->status.ok()) << result2->status.ToString();

@@ -1,11 +1,10 @@
-// Lifecycle, determinism, and corruption-injection tests for the
-// work-stealing common::ThreadPool — the suite the TSan CI leg runs with
-// real concurrency. Covers the inline (single-thread) degradation, Submit
-// rejection after Shutdown, deterministic ParallelFor/ParallelMap result
-// order, lowest-chunk-wins exception propagation, nested ParallelFor
-// running inline on a worker, work stealing draining the queue behind a
-// blocked worker, and the pool's own AuditInvariants() both passing under
-// heavy traffic and firing on an injected accounting corruption.
+// Lifecycle and corruption-injection tests for the work-stealing
+// common::ThreadPool — the suite the TSan CI leg runs with real
+// concurrency. Covers the inline (single-thread) degradation, Wait draining
+// submitted work, Submit rejection after Shutdown, work stealing draining
+// the queue behind a blocked worker, and the pool's own AuditInvariants()
+// both passing under heavy traffic and firing on an injected accounting
+// corruption.
 
 #include "src/common/thread_pool.h"
 
@@ -16,8 +15,6 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <mutex>
-#include <numeric>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,43 +36,11 @@ namespace {
 TEST(ThreadPoolInline, SingleThreadPoolRunsSubmitOnCaller) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.num_threads(), 1u);
-  EXPECT_FALSE(pool.OnWorkerThread());
   std::thread::id ran_on;
   ASSERT_TRUE(pool.Submit([&] { ran_on = std::this_thread::get_id(); }).ok());
   EXPECT_EQ(ran_on, std::this_thread::get_id());
   pool.Wait();  // Trivially satisfied; must not hang.
   EXPECT_TRUE(pool.AuditInvariants().ok());
-}
-
-TEST(ThreadPoolInline, ParallelForIsASerialLoop) {
-  ThreadPool pool(1);
-  std::vector<size_t> visits;
-  pool.ParallelFor(10, [&](size_t i) { visits.push_back(i); });
-  std::vector<size_t> want(10);
-  std::iota(want.begin(), want.end(), 0u);
-  EXPECT_EQ(visits, want);
-}
-
-TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  constexpr size_t kN = 1000;
-  std::vector<int> hits(kN, 0);
-  // Distinct slots per index: no synchronization needed by the contract.
-  pool.ParallelFor(kN, [&](size_t i) { ++hits[i]; });
-  for (size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(hits[i], 1) << "index " << i;
-  }
-  EXPECT_TRUE(pool.AuditInvariants().ok());
-}
-
-TEST(ThreadPool, ParallelMapPlacesResultsAtTheirIndex) {
-  ThreadPool pool(8);
-  std::vector<size_t> out =
-      pool.ParallelMap<size_t>(257, [](size_t i) { return i * i; });
-  ASSERT_EQ(out.size(), 257u);
-  for (size_t i = 0; i < out.size(); ++i) {
-    ASSERT_EQ(out[i], i * i) << "index " << i;
-  }
 }
 
 TEST(ThreadPool, WaitBlocksUntilSubmittedWorkDrains) {
@@ -108,61 +73,6 @@ TEST(ThreadPool, SubmitAfterShutdownIsRejectedWithFailedPrecondition) {
   EXPECT_EQ(rejected.code(), StatusCode::kFailedPrecondition);
   pool.Shutdown();  // Idempotent.
   EXPECT_TRUE(pool.AuditInvariants().ok());
-}
-
-TEST(ThreadPool, ParallelForAfterShutdownRunsInline) {
-  ThreadPool pool(2);
-  pool.Shutdown();
-  std::vector<size_t> visits;
-  pool.ParallelFor(5, [&](size_t i) { visits.push_back(i); });
-  EXPECT_EQ(visits, (std::vector<size_t>{0, 1, 2, 3, 4}));
-}
-
-TEST(ThreadPool, ExceptionFromLowestThrowingIndexWins) {
-  ThreadPool pool(4);
-  // Indexes 5 and 50 both throw. Chunks are contiguous ascending ranges
-  // and the error from the lowest chunk wins (serial order within a
-  // chunk), so the rethrown exception always carries index 5 — regardless
-  // of thread count, chunking, or which chunk finishes first.
-  std::atomic<int> executed{0};
-  try {
-    pool.ParallelFor(64, [&](size_t i) {
-      executed.fetch_add(1, std::memory_order_relaxed);
-      if (i == 5 || i == 50) {
-        throw std::runtime_error("boom " + std::to_string(i));
-      }
-    });
-    FAIL() << "expected ParallelFor to rethrow";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "boom 5");
-  }
-  // Every chunk still ran to its own completion or first error before the
-  // rethrow: the pool is reusable afterwards.
-  std::vector<int> hits(16, 0);
-  pool.ParallelFor(16, [&](size_t i) { ++hits[i]; });
-  for (int h : hits) EXPECT_EQ(h, 1);
-  EXPECT_TRUE(pool.AuditInvariants().ok());
-}
-
-TEST(ThreadPool, NestedParallelForRunsInlineOnTheWorker) {
-  ThreadPool pool(4);
-  constexpr size_t kOuter = 16;
-  constexpr size_t kInner = 8;
-  std::vector<std::vector<size_t>> inner_orders(kOuter);
-  std::vector<int> on_worker(kOuter, 0);
-  pool.ParallelFor(kOuter, [&](size_t o) {
-    on_worker[o] = pool.OnWorkerThread() ? 1 : 0;
-    // Nested call: must run inline (serial, deadlock-free) on this worker.
-    pool.ParallelFor(kInner,
-                     [&](size_t i) { inner_orders[o].push_back(i); });
-  });
-  std::vector<size_t> want(kInner);
-  std::iota(want.begin(), want.end(), 0u);
-  for (size_t o = 0; o < kOuter; ++o) {
-    EXPECT_EQ(on_worker[o], 1) << "outer body " << o;
-    EXPECT_EQ(inner_orders[o], want) << "outer body " << o;
-  }
-  EXPECT_FALSE(pool.OnWorkerThread());
 }
 
 TEST(ThreadPool, StealingDrainsWorkQueuedBehindABlockedTask) {
@@ -209,14 +119,22 @@ TEST(ThreadPool, StealingDrainsWorkQueuedBehindABlockedTask) {
   EXPECT_TRUE(pool.AuditInvariants().ok());
 }
 
+/// Submits `n` counting tasks and waits for all of them: one wave.
+void SubmitWave(ThreadPool* pool, size_t n, std::atomic<int>* sink) {
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(
+        pool->Submit([sink] { sink->fetch_add(1, std::memory_order_relaxed); })
+            .ok());
+  }
+  pool->Wait();
+}
+
 TEST(ThreadPool, AuditPassesUnderConcurrentTraffic) {
   ThreadPool pool(4);
   std::atomic<int> sink{0};
   for (int round = 0; round < 20; ++round) {
-    pool.ParallelFor(
-        64, [&](size_t) { sink.fetch_add(1, std::memory_order_relaxed); });
-    // Audit between waves, at a quiescent point — the merge-barrier
-    // placement the cleaning loops use.
+    SubmitWave(&pool, 64, &sink);
+    // Audit between waves, at a quiescent point.
     ASSERT_TRUE(pool.AuditInvariants().ok());
   }
   EXPECT_EQ(sink.load(), 20 * 64);
@@ -225,8 +143,7 @@ TEST(ThreadPool, AuditPassesUnderConcurrentTraffic) {
 TEST(ThreadPoolAudit, InjectedAccountingCorruptionFires) {
   ThreadPool pool(2);
   std::atomic<int> sink{0};
-  pool.ParallelFor(
-      32, [&](size_t) { sink.fetch_add(1, std::memory_order_relaxed); });
+  SubmitWave(&pool, 32, &sink);
   ASSERT_TRUE(pool.AuditInvariants().ok());
   // A phantom completion breaks submitted == completed + running + pending.
   ThreadPoolCorruptor::InjectPhantomCompletion(&pool);

@@ -2,9 +2,10 @@
 // (every crowd question in the order asked, every edit, the final answers
 // and database contents) and witness-tracked evaluations are rendered to
 // text and compared byte-for-byte against checked-in goldens captured from
-// the pre-interning engine. Any representation change that alters a
+// the pre-interning engine (the "-t1" in their names records that they
+// were captured single-threaded). Any representation change that alters a
 // transcript — answer order, witness order, question order, edit order —
-// fails here, at 1 and at 8 threads.
+// fails here.
 //
 // Regenerate (only when a change is *supposed* to alter transcripts) with:
 //   QOCO_REGEN_GOLDENS=1 ./tests/transcript_golden_test
@@ -23,11 +24,12 @@
 #include "src/cleaning/edit.h"
 #include "src/cleaning/union_cleaner.h"
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
 #include "src/crowd/crowd_panel.h"
 #include "src/crowd/imperfect_oracle.h"
 #include "src/crowd/oracle.h"
 #include "src/crowd/simulated_oracle.h"
+#include "src/qoco/session.h"
+#include "src/query/aggregate.h"
 #include "src/query/evaluator.h"
 #include "src/query/parser.h"
 #include "src/workload/dbgroup.h"
@@ -120,11 +122,23 @@ void RenderSortedFacts(const Database& db, std::string* out) {
   for (const Fact& f : facts) *out += "fact " + db.FactToString(f) + "\n";
 }
 
-/// One cleaning session rendered as text: the question sequence, the edit
-/// sequence, the aggregate question counts, the final answers, the final
-/// database.
+/// Appends a finished session's edit sequence, question counts, final
+/// answers and final database.
+void RenderOutcome(const cleaning::CleanerStats& stats,
+                   const std::vector<Tuple>& answers, const Database& db,
+                   std::string* out) {
+  for (const cleaning::Edit& e : stats.edits) {
+    *out += "edit " + cleaning::EditToString(e, db) + "\n";
+  }
+  *out += "questions " + crowd::ToString(stats.questions) + "\n";
+  for (const Tuple& t : answers) *out += "answer " + TupleToString(t) + "\n";
+  RenderSortedFacts(db, out);
+}
+
+/// One cleaning session rendered as text: the question sequence, then its
+/// outcome (RenderOutcome).
 std::string RenderSession(const query::CQuery& q, const Database& dirty,
-                          const Database& ground_truth, size_t num_threads,
+                          const Database& ground_truth,
                           cleaning::DeletionPolicy policy,
                           double oracle_error_rate) {
   std::string out;
@@ -139,31 +153,21 @@ std::string RenderSession(const query::CQuery& q, const Database& dirty,
   crowd::CrowdPanel panel({&recorder}, crowd::PanelConfig{1});
   CleanerConfig config;
   config.deletion_policy = policy;
-  config.num_threads = num_threads;
   QocoCleaner cleaner(q, &db, &panel, config, common::Rng(11));
   auto stats = cleaner.Run();
   EXPECT_TRUE(stats.ok()) << stats.status().ToString();
   if (!stats.ok()) return out;
-  for (const cleaning::Edit& e : stats->edits) {
-    out += "edit " + cleaning::EditToString(e, db) + "\n";
-  }
-  out += "questions " + crowd::ToString(stats->questions) + "\n";
-  query::Evaluator eval(&db);
-  for (const Tuple& t : eval.Evaluate(q).AnswerTuples()) {
-    out += "answer " + TupleToString(t) + "\n";
-  }
-  RenderSortedFacts(db, &out);
+  RenderOutcome(*stats, query::Evaluator(&db).Evaluate(q).AnswerTuples(), db,
+                &out);
   return out;
 }
 
 /// A witness-tracked evaluation rendered as text: every answer with its
 /// witness list in discovery order and its assignment list in discovery
 /// order. Pins the provenance machinery, not just the answer set.
-std::string RenderEvaluation(const query::CQuery& q, const Database& db,
-                             size_t num_threads) {
+std::string RenderEvaluation(const query::CQuery& q, const Database& db) {
   std::string out;
-  common::ThreadPool pool(num_threads);
-  query::Evaluator eval(&db, num_threads > 1 ? &pool : nullptr);
+  query::Evaluator eval(&db);
   query::EvalResult result = eval.Evaluate(q);
   for (const query::AnswerInfo& info : result.answers()) {
     out += "answer " + TupleToString(info.tuple) + "\n";
@@ -213,27 +217,18 @@ void CheckGolden(const std::string& name, const std::string& got) {
          << "different bytes?)";
 }
 
-const size_t kGoldenThreadCounts[] = {1, 8};
-
 TEST(TranscriptGolden, FigureOneSessions) {
   auto sample = workload::MakeFigureOneSample();
   ASSERT_TRUE(sample.ok());
-  for (size_t threads : kGoldenThreadCounts) {
-    const std::string suffix = "-t" + std::to_string(threads);
-    CheckGolden("fig1-q1-qoco" + suffix,
-                RenderSession(sample->q1, *sample->dirty,
-                              *sample->ground_truth, threads,
-                              cleaning::DeletionPolicy::kQoco, 0.0));
-    CheckGolden("fig1-q2-qoco" + suffix,
-                RenderSession(sample->q2, *sample->dirty,
-                              *sample->ground_truth, threads,
-                              cleaning::DeletionPolicy::kQoco, 0.0));
-    CheckGolden(
-        "fig1-q1-resp-imperfect" + suffix,
-        RenderSession(sample->q1, *sample->dirty, *sample->ground_truth,
-                      threads, cleaning::DeletionPolicy::kResponsibility,
-                      0.2));
-  }
+  CheckGolden("fig1-q1-qoco-t1",
+              RenderSession(sample->q1, *sample->dirty, *sample->ground_truth,
+                            cleaning::DeletionPolicy::kQoco, 0.0));
+  CheckGolden("fig1-q2-qoco-t1",
+              RenderSession(sample->q2, *sample->dirty, *sample->ground_truth,
+                            cleaning::DeletionPolicy::kQoco, 0.0));
+  CheckGolden("fig1-q1-resp-imperfect-t1",
+              RenderSession(sample->q1, *sample->dirty, *sample->ground_truth,
+                            cleaning::DeletionPolicy::kResponsibility, 0.2));
 }
 
 TEST(TranscriptGolden, SoccerSessionWithPlantedErrors) {
@@ -247,11 +242,9 @@ TEST(TranscriptGolden, SoccerSessionWithPlantedErrors) {
   auto planted =
       workload::PlantErrors(*q, *data->ground_truth, 2, 2, /*seed=*/9);
   ASSERT_TRUE(planted.ok());
-  for (size_t threads : kGoldenThreadCounts) {
-    CheckGolden("soccer-q3-qoco-t" + std::to_string(threads),
-                RenderSession(*q, planted->db, *data->ground_truth, threads,
-                              cleaning::DeletionPolicy::kQoco, 0.0));
-  }
+  CheckGolden("soccer-q3-qoco-t1",
+              RenderSession(*q, planted->db, *data->ground_truth,
+                            cleaning::DeletionPolicy::kQoco, 0.0));
 }
 
 TEST(TranscriptGolden, DbGroupSessions) {
@@ -259,13 +252,10 @@ TEST(TranscriptGolden, DbGroupSessions) {
   ASSERT_TRUE(data.ok());
   const size_t num_queries = std::min<size_t>(2, data->report_queries.size());
   for (size_t qi = 0; qi < num_queries; ++qi) {
-    for (size_t threads : kGoldenThreadCounts) {
-      CheckGolden("dbgroup-q" + std::to_string(qi) + "-qoco-t" +
-                      std::to_string(threads),
-                  RenderSession(data->report_queries[qi], *data->dirty,
-                                *data->ground_truth, threads,
-                                cleaning::DeletionPolicy::kQoco, 0.0));
-    }
+    CheckGolden("dbgroup-q" + std::to_string(qi) + "-qoco-t1",
+                RenderSession(data->report_queries[qi], *data->dirty,
+                              *data->ground_truth,
+                              cleaning::DeletionPolicy::kQoco, 0.0));
   }
 }
 
@@ -279,28 +269,18 @@ TEST(TranscriptGolden, UnionSessions) {
       "Teams(x, 'SA'), d1 != d2.",
       *sample->catalog);
   ASSERT_TRUE(u.ok());
-  for (size_t threads : kGoldenThreadCounts) {
-    std::string out;
-    Database db = *sample->dirty;
-    crowd::SimulatedOracle oracle(sample->ground_truth.get());
-    RecordingOracle recorder(&oracle, &db, &out);
-    crowd::CrowdPanel panel({&recorder}, crowd::PanelConfig{1});
-    CleanerConfig config;
-    config.num_threads = threads;
-    cleaning::UnionCleaner cleaner(*u, &db, &panel, config, common::Rng(5));
-    auto stats = cleaner.Run();
-    ASSERT_TRUE(stats.ok());
-    for (const cleaning::Edit& e : stats->edits) {
-      out += "edit " + cleaning::EditToString(e, db) + "\n";
-    }
-    out += "questions " + crowd::ToString(stats->questions) + "\n";
-    query::Evaluator eval(&db);
-    for (const Tuple& t : eval.Evaluate(*u).AnswerTuples()) {
-      out += "answer " + TupleToString(t) + "\n";
-    }
-    RenderSortedFacts(db, &out);
-    CheckGolden("union-fig1-t" + std::to_string(threads), out);
-  }
+  std::string out;
+  Database db = *sample->dirty;
+  crowd::SimulatedOracle oracle(sample->ground_truth.get());
+  RecordingOracle recorder(&oracle, &db, &out);
+  crowd::CrowdPanel panel({&recorder}, crowd::PanelConfig{1});
+  cleaning::UnionCleaner cleaner(*u, &db, &panel, CleanerConfig{},
+                                 common::Rng(5));
+  auto stats = cleaner.Run();
+  ASSERT_TRUE(stats.ok());
+  RenderOutcome(*stats, query::Evaluator(&db).Evaluate(*u).AnswerTuples(), db,
+                &out);
+  CheckGolden("union-fig1-t1", out);
 }
 
 TEST(TranscriptGolden, SoccerEvaluationWitnesses) {
@@ -321,12 +301,51 @@ TEST(TranscriptGolden, SoccerEvaluationWitnesses) {
     noise.seed = 40 + qi;
     auto dirty = workload::MakeDirty(*data->ground_truth, noise);
     ASSERT_TRUE(dirty.ok());
-    for (size_t threads : kGoldenThreadCounts) {
-      CheckGolden("soccer-eval-q" + std::to_string(qi) + "-t" +
-                      std::to_string(threads),
-                  RenderEvaluation(*q, *dirty, threads));
-    }
+    CheckGolden("soccer-eval-q" + std::to_string(qi) + "-t1",
+                RenderEvaluation(*q, *dirty));
   }
+}
+
+TEST(TranscriptGolden, AggregateSessions) {
+  // COUNT views through Session::CleanAggregateView: both HAVING
+  // directions over planted base-query errors, one after the other in a
+  // single golden.
+  workload::SoccerParams params;
+  params.num_tournaments = 8;
+  params.teams_per_tournament = 10;
+  auto data = workload::MakeSoccerData(params);
+  ASSERT_TRUE(data.ok());
+  // Units: (team, date) of European knockout wins.
+  auto base = query::ParseQuery(
+      "(x, d) :- Games(d, x, y, s, u), Stages(s, 'KO'), Teams(x, 'EU').",
+      *data->catalog);
+  ASSERT_TRUE(base.ok());
+  auto planted =
+      workload::PlantErrors(*base, *data->ground_truth, 3, 3, /*seed=*/17);
+  ASSERT_TRUE(planted.ok());
+  struct View {
+    const char* label;
+    query::AggregateQuery::Cmp cmp;
+    size_t threshold;
+  };
+  const View kViews[] = {{">= 2", query::AggregateQuery::Cmp::kAtLeast, 2},
+                         {"<= 2", query::AggregateQuery::Cmp::kAtMost, 2}};
+  std::string out;
+  for (const View& view : kViews) {
+    auto agg = query::AggregateQuery::Make(*base, /*group_by_arity=*/1,
+                                           view.cmp, view.threshold);
+    ASSERT_TRUE(agg.ok());
+    out += std::string("view ") + view.label + "\n";
+    Database db = planted->db;
+    crowd::SimulatedOracle oracle(data->ground_truth.get());
+    RecordingOracle recorder(&oracle, &db, &out);
+    Session session(&db, {&recorder});
+    auto stats = session.CleanAggregateView(*agg);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    RenderOutcome(*stats, query::AggregateEvaluator(&db).AnswerTuples(*agg),
+                  db, &out);
+  }
+  CheckGolden("soccer-aggregate", out);
 }
 
 }  // namespace

@@ -186,7 +186,7 @@ const std::vector<RuleInfo>& Rules() {
        "insertion order and must never reach output"},
       {"worker-intern",
        "coordinator-only calls (Intern*, QOCO_COORDINATOR_ONLY) inside "
-       "ParallelFor/ParallelMap/Submit regions",
+       "ThreadPool::Submit regions",
        "intern on the coordinator before fanning out; workers bind ids "
        "copied from rows"},
       {"guarded-by",
@@ -440,10 +440,10 @@ const SelfTestCase kCases[] = {
      "src/relational/value_dictionary.cc",
      "bool Before(ValueId a, ValueId b) { return a < b; }"},
 
-    {"intern-in-parallel", "worker-intern", true, "src/a.cc",
+    {"intern-string-in-submit", "worker-intern", true, "src/a.cc",
      "void F(ThreadPool& pool, ValueDictionary& dict) {\n"
-     "  pool.ParallelFor(n, [&](size_t i) {\n"
-     "    ids[i] = dict.InternString(names[i]);\n"
+     "  pool.Submit([&] {\n"
+     "    id = dict.InternString(name);\n"
      "  });\n"
      "}"},
     {"intern-in-submit", "worker-intern", true, "src/a.cc",
@@ -452,18 +452,18 @@ const SelfTestCase kCases[] = {
      "}"},
     {"intern-via-named-lambda", "worker-intern", true, "src/a.cc",
      "void F(ThreadPool& pool) {\n"
-     "  auto task = [&](size_t i) { dict.Intern(values[i]); };\n"
-     "  pool.ParallelFor(n, task);\n"
+     "  auto task = [&] { dict.Intern(value); };\n"
+     "  pool.Submit(task);\n"
      "}"},
     {"coordinator-annotated", "worker-intern", true, "src/a.cc",
      "void GrowCatalog(int x) QOCO_COORDINATOR_ONLY;\n"
      "void F(ThreadPool& pool) {\n"
-     "  pool.ParallelFor(n, [&](size_t i) { GrowCatalog(i); });\n"
+     "  pool.Submit([&] { GrowCatalog(1); });\n"
      "}"},
-    {"intern-before-parallel", "worker-intern", false, "src/a.cc",
+    {"intern-before-submit", "worker-intern", false, "src/a.cc",
      "void F(ThreadPool& pool, ValueDictionary& dict) {\n"
      "  ValueId id = dict.InternString(name);\n"
-     "  pool.ParallelFor(n, [&](size_t i) { Use(id, i); });\n"
+     "  pool.Submit([&] { Use(id); });\n"
      "}"},
 
     {"guarded-unlocked", "guarded-by", true, "src/a.cc",

@@ -757,22 +757,15 @@ void RuleWorkerIntern(const SourceFile& f, const CrossFileIndex& index,
   for (size_t i = 0; i + 1 < c.size(); ++i) {
     if (!IsIdent(c[i])) continue;
     const std::string& name = c[i].text;
-    if (name != "ParallelFor" && name != "ParallelMap" && name != "Submit") {
-      continue;
-    }
-    size_t open = i + 1;
-    if (Is(c[open], "<")) {
-      const size_t gt = MatchAngle(c, open);
-      if (gt == kNpos) continue;
-      open = gt + 1;
-    }
-    if (open >= c.size() || !Is(c[open], "(")) continue;
+    if (name != "Submit") continue;
+    const size_t open = i + 1;
+    if (!Is(c[open], "(")) continue;
     const size_t close = MatchClose(c, open);
     if (close >= c.size()) continue;
     ScanSpanForCoordinatorCalls(f, open + 1, close, index, name, out);
 
     // A bare-identifier argument may name a lambda defined earlier in the
-    // file (`auto task = [&] {...}; pool.ParallelFor(n, task);`): scan that
+    // file (`auto task = [&] {...}; pool.Submit(task);`): scan that
     // lambda's body too.
     for (const auto& [abegin, aend] : TopLevelArgs(c, open, close)) {
       if (aend - abegin != 1 || !IsIdent(c[abegin])) continue;
