@@ -1,6 +1,7 @@
 #include "src/relational/csv.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <vector>
 
@@ -33,6 +34,72 @@ std::string EncodeFieldImpl(const Value& v) {
   }
   out += "\"";
   return out;
+}
+
+/// Renders relations of one database as CSV straight from their row ids.
+/// Inline integers are formatted from the id itself; every other value goes
+/// through EncodeFieldImpl once per writer, memoized by dictionary slot, so
+/// a value repeated across rows and relations is encoded once.
+class IdCsvWriter {
+ public:
+  explicit IdCsvWriter(const Database& db) : db_(db) {}
+
+  void AppendRelation(RelationId id, std::string* out) {
+    *out += common::Join(db_.catalog().schema(id).attributes, ",");
+    *out += '\n';
+    for (const ITuple& row : db_.relation(id).rows()) {
+      for (size_t i = 0; i < row.size(); ++i) {
+        if (i > 0) *out += ',';
+        AppendField(row[i], out);
+      }
+      *out += '\n';
+    }
+  }
+
+ private:
+  void AppendField(ValueId id, std::string* out) {
+    if (IsInlineInt(id)) {
+      char buf[16];
+      char* end = std::to_chars(buf, buf + sizeof(buf), InlineIntOf(id)).ptr;
+      out->append(buf, end);
+      return;
+    }
+    if (id == kNullId) {
+      *out += EncodeFieldImpl(Value());
+      return;
+    }
+    uint32_t slot = SlotOf(id);
+    if (slot >= memo_index_.size()) memo_index_.resize(slot + 1, 0);
+    uint32_t& entry = memo_index_[slot];
+    if (entry == 0) {
+      memo_.push_back(EncodeFieldImpl(db_.dict().Materialize(id)));
+      entry = static_cast<uint32_t>(memo_.size());
+    }
+    *out += memo_[entry - 1];
+  }
+
+  const Database& db_;
+  // Dictionary slot -> 1 + its index in memo_; 0 = not encoded yet.
+  std::vector<uint32_t> memo_index_;
+  std::vector<std::string> memo_;
+};
+
+/// The CSV record of `text` that starts at `*pos`: everything up to the
+/// next newline outside double quotes, so a quoted field may span lines.
+/// Advances `*pos` past that newline.
+std::string_view NextRecord(std::string_view text, size_t* pos) {
+  size_t start = *pos;
+  size_t end = start;
+  bool in_quotes = false;
+  for (; end < text.size(); ++end) {
+    if (text[end] == '"') {
+      in_quotes = !in_quotes;
+    } else if (text[end] == '\n' && !in_quotes) {
+      break;
+    }
+  }
+  *pos = end < text.size() ? end + 1 : end;
+  return text.substr(start, end - start);
 }
 
 common::Status SplitRecordImpl(std::string_view line,
@@ -96,31 +163,21 @@ Value ParseFieldImpl(const std::string& raw, bool quoted) {
 }  // namespace
 
 std::string RelationToCsv(const Database& db, RelationId id) {
-  const RelationSchema& schema = db.catalog().schema(id);
-  std::string out = common::Join(schema.attributes, ",");
-  out += "\n";
-  for (const ITuple& row : db.relation(id).rows()) {
-    Tuple t = MaterializeTuple(row, db.dict());
-    for (size_t i = 0; i < t.size(); ++i) {
-      if (i > 0) out += ",";
-      out += EncodeFieldImpl(t[i]);
-    }
-    out += "\n";
-  }
+  std::string out;
+  IdCsvWriter(db).AppendRelation(id, &out);
   return out;
 }
 
 common::Status LoadRelationFromCsv(std::string_view text, RelationId id,
                                    Database* db) {
   const RelationSchema& schema = db->catalog().schema(id);
-  std::vector<std::string> lines = common::Split(text, '\n');
   std::vector<std::string> fields;
   std::vector<bool> was_quoted;
   bool saw_header = false;
-  for (const std::string& raw_line : lines) {
-    std::string_view line = common::StripWhitespace(raw_line);
-    if (line.empty()) continue;
-    QOCO_RETURN_NOT_OK(SplitRecordImpl(line, &fields, &was_quoted));
+  for (size_t pos = 0; pos < text.size();) {
+    std::string_view record = common::StripWhitespace(NextRecord(text, &pos));
+    if (record.empty()) continue;
+    QOCO_RETURN_NOT_OK(SplitRecordImpl(record, &fields, &was_quoted));
     if (!saw_header) {
       if (fields.size() != schema.arity()) {
         return common::Status::ParseError(
@@ -144,12 +201,15 @@ common::Status LoadRelationFromCsv(std::string_view text, RelationId id,
 }
 
 std::string DatabaseToCsv(const Database& db) {
+  IdCsvWriter writer(db);
   std::string out;
-  for (size_t id = 0; id < db.catalog().size(); ++id) {
-    out += "## " + db.catalog().relation_name(static_cast<RelationId>(id)) +
-           "\n";
-    out += RelationToCsv(db, static_cast<RelationId>(id));
-    out += "\n";
+  for (size_t i = 0; i < db.catalog().size(); ++i) {
+    RelationId id = static_cast<RelationId>(i);
+    out += "## ";
+    out += db.catalog().relation_name(id);
+    out += '\n';
+    writer.AppendRelation(id, &out);
+    out += '\n';
   }
   return out;
 }
@@ -167,26 +227,26 @@ Value ParseCsvField(const std::string& raw, bool quoted) {
 }
 
 common::Status LoadDatabaseFromCsv(std::string_view text, Database* db) {
-  std::vector<std::string> lines = common::Split(text, '\n');
+  // A relation's block runs from the end of its "## " record to the start
+  // of the next one; records are quote-aware, so a quoted field cannot be
+  // mistaken for a header.
   RelationId current = kInvalidRelation;
-  std::string block;
-  auto flush = [&]() -> common::Status {
+  size_t block_start = 0;
+  auto flush = [&](size_t block_end) -> common::Status {
     if (current == kInvalidRelation) return common::Status::OK();
-    return LoadRelationFromCsv(block, current, db);
+    return LoadRelationFromCsv(
+        text.substr(block_start, block_end - block_start), current, db);
   };
-  for (const std::string& raw_line : lines) {
-    std::string_view line = common::StripWhitespace(raw_line);
-    if (common::StartsWith(line, "## ")) {
-      QOCO_RETURN_NOT_OK(flush());
-      block.clear();
-      std::string name(common::StripWhitespace(line.substr(3)));
-      QOCO_ASSIGN_OR_RETURN(current, db->catalog().FindRelation(name));
-    } else if (current != kInvalidRelation) {
-      block += raw_line;
-      block += "\n";
-    }
+  for (size_t pos = 0; pos < text.size();) {
+    size_t record_start = pos;
+    std::string_view record = common::StripWhitespace(NextRecord(text, &pos));
+    if (!common::StartsWith(record, "## ")) continue;
+    QOCO_RETURN_NOT_OK(flush(record_start));
+    std::string name(common::StripWhitespace(record.substr(3)));
+    QOCO_ASSIGN_OR_RETURN(current, db->catalog().FindRelation(name));
+    block_start = pos;
   }
-  return flush();
+  return flush(text.size());
 }
 
 }  // namespace qoco::relational

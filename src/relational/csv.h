@@ -11,18 +11,24 @@
 namespace qoco::relational {
 
 /// Serializes one relation as CSV: a header row of attribute names followed
-/// by one row per tuple. Strings containing commas, quotes or newlines are
-/// double-quoted with "" escaping; integers and doubles are printed bare.
+/// by one row per tuple, in storage order. Strings containing commas, quotes
+/// or newlines are double-quoted with "" escaping; integers and doubles are
+/// printed bare. Rows are rendered from their ids: each distinct value is
+/// encoded once per call (EncodeCsvField), so the output is exactly the
+/// EncodeCsvField rendering of every materialized field.
 std::string RelationToCsv(const Database& db, RelationId id);
 
 /// Parses CSV `text` (with header row, which is validated against the
-/// schema) and inserts every row into relation `id` of `db`. Fields that
-/// parse as int64 become integers, then doubles, otherwise strings.
+/// schema) and inserts every row into relation `id` of `db`. A record ends
+/// at a newline outside double quotes, so quoted fields may span lines.
+/// Fields that parse as int64 become integers, then doubles, otherwise
+/// strings.
 common::Status LoadRelationFromCsv(std::string_view text, RelationId id,
                                    Database* db);
 
 /// Serializes the whole database: each relation introduced by a line
-/// "## <relation-name>" followed by its CSV block and a blank line.
+/// "## <relation-name>" followed by its CSV block and a blank line. One
+/// encoding memo serves every relation.
 std::string DatabaseToCsv(const Database& db);
 
 /// Parses the multi-relation format produced by DatabaseToCsv into `db`

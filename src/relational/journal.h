@@ -22,13 +22,14 @@ namespace qoco::relational {
 ///   -<TAB>RelationName<TAB>field,field,...
 ///
 /// Fields use the CSV escaping rules of relational/csv.h, so values
-/// containing tabs, commas or newlines round-trip.
+/// containing commas or quotes round-trip. ReplayJournal still splits on
+/// every newline and tab, so a value holding either does not replay yet.
 /// An immutable position in an EditJournal: the byte length of a prefix
 /// whose content never changes afterwards (the journal is append-only).
 /// Snapshot-isolated readers (src/service/session_manager.h) capture a
-/// handle at admission and replay exactly that prefix over the base
-/// snapshot, so concurrently committing sessions never leak into a reader's
-/// view mid-run.
+/// handle at admission and replay exactly that prefix over a copy of the
+/// base database, so concurrently committing sessions never leak into a
+/// reader's view mid-run.
 struct JournalSnapshot {
   size_t bytes = 0;
 

@@ -4,7 +4,6 @@
 
 #include "src/qoco/session.h"
 #include "src/query/parser.h"
-#include "src/relational/csv.h"
 #include "src/service/broker_oracle.h"
 
 namespace qoco::service {
@@ -12,16 +11,12 @@ namespace qoco::service {
 SessionManager::SessionManager(const relational::Database* base,
                                QuestionBroker* broker,
                                common::ThreadPool* pool, ServiceLimits limits)
-    : base_(base),
-      broker_(broker),
-      pool_(pool),
-      limits_(limits),
-      snapshot_csv_(relational::DatabaseToCsv(*base)) {}
+    : base_(base), broker_(broker), pool_(pool), limits_(limits) {}
 
 common::Result<SessionId> SessionManager::Submit(SessionSpec spec) {
   // All catalog interning happens here, on the coordinator: query constants
-  // during parsing, CSV values during materialization. Workers below only
-  // read the catalog.
+  // during parsing, journal values during replay. Workers below only read
+  // the catalog.
   std::vector<ParsedStep> steps;
   steps.reserve(spec.steps.size());
   for (const SessionSpec::Step& step : spec.steps) {
@@ -49,11 +44,12 @@ common::Result<SessionId> SessionManager::Submit(SessionSpec spec) {
     }
     journal_prefix = std::string(commit_journal_.ContentsAt(spec.base_snapshot));
   }
-  common::Result<relational::Database> db = relational::RecoverDatabase(
-      &base_->catalog(), snapshot_csv_, journal_prefix);
-  if (!db.ok()) return db.status();
+  // The private database is an id-space copy of the base: no value is
+  // re-encoded, so every value the base holds reaches the session intact.
+  relational::Database db = *base_;
+  QOCO_RETURN_NOT_OK(relational::ReplayJournal(journal_prefix, &db));
 
-  auto state = std::make_unique<SessionState>(std::move(db).value());
+  auto state = std::make_unique<SessionState>(std::move(db));
   state->steps = std::move(steps);
   state->seed = spec.seed;
   state->cleaner = spec.cleaner;

@@ -76,33 +76,36 @@ struct SessionResult {
 /// Multiplexes many concurrent cleaning sessions over one shared base
 /// database and one QuestionBroker.
 ///
-/// Isolation model: the base database is serialized once (DatabaseToCsv) at
-/// construction; every session materializes a private Database from that
-/// snapshot plus the commit-journal prefix named by its spec
-/// (RecoverDatabase), then cleans it in place with a serial qoco::Session.
-/// Readers are snapshot-isolated — concurrent commits never appear mid-run.
-/// Successful sessions splice their edit transcripts into the shared commit
-/// journal in session-id order (a scheduling-independent total order), so
-/// the commit journal is byte-identical at any thread count.
+/// Isolation model: at admission every session gets a private Database: an
+/// id-space copy of the base (rows, memberships and built indexes, no value
+/// re-encoded) with the commit-journal prefix named by its spec replayed on
+/// top (ReplayJournal). It then cleans that copy in place with a serial
+/// qoco::Session. Readers are snapshot-isolated — concurrent commits never
+/// appear mid-run. Successful sessions splice their edit transcripts into
+/// the shared commit journal in session-id order (a scheduling-independent
+/// total order), so the commit journal is byte-identical at any thread
+/// count.
 ///
 /// Coordinator/worker split: Submit runs on the caller's thread and does all
-/// catalog interning up front (query parsing, CSV materialization); the
-/// pooled session bodies only read the shared catalog and write their
-/// private databases, which keeps the repo's coordinator-only interning
-/// contract intact.
+/// catalog interning up front (query parsing, journal replay); the pooled
+/// session bodies only read the shared catalog and write their private
+/// databases, which keeps the repo's coordinator-only interning contract
+/// intact.
 class SessionManager {
  public:
-  /// `base`, `broker` and `pool` must outlive the manager. Sessions run on
-  /// `pool`; with an inline pool (num_threads <= 1) Submit runs the session
-  /// to completion before returning.
+  /// `base`, `broker` and `pool` must outlive the manager. Every Submit
+  /// copies `base`, so it must not change while the manager lives. Sessions
+  /// run on `pool`; with an inline pool (num_threads <= 1) Submit runs the
+  /// session to completion before returning.
   SessionManager(const relational::Database* base, QuestionBroker* broker,
                  common::ThreadPool* pool, ServiceLimits limits = {});
 
-  /// Admits one session: parses its queries, materializes its private
-  /// database at spec.base_snapshot, and runs it (immediately, or queued
-  /// behind max_active_sessions). Fails fast — without creating a session —
-  /// on parse errors, an out-of-range snapshot, or a full queue
-  /// (ResourceExhausted). Call from the coordinator thread only.
+  /// Admits one session: parses its queries, copies the base and replays
+  /// the commit journal up to spec.base_snapshot, and runs it (immediately,
+  /// or queued behind max_active_sessions). Fails fast — without creating a
+  /// session — on parse errors, an out-of-range snapshot, a journal prefix
+  /// that does not replay, or a full queue (ResourceExhausted). Call from
+  /// the coordinator thread only.
   common::Result<SessionId> Submit(SessionSpec spec) QOCO_COORDINATOR_ONLY;
 
   /// Blocks until session `id` finishes and returns its result.
@@ -145,7 +148,9 @@ class SessionManager {
     uint64_t seed = 1;
     cleaning::CleanerConfig cleaner;
     std::string scope;
-    relational::Database db;  // private snapshot copy
+    // Private copy: the base plus the spec's journal prefix. Kept after
+    // the session finishes.
+    relational::Database db;
     bool done = false;
     SessionResult result;
 
@@ -170,7 +175,6 @@ class SessionManager {
   QuestionBroker* broker_;
   common::ThreadPool* pool_;
   const ServiceLimits limits_;
-  const std::string snapshot_csv_;  // base serialized once, immutable
 
   mutable common::Mutex mu_;
   mutable std::condition_variable_any cv_;

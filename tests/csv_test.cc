@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "src/relational/database.h"
 
 namespace qoco::relational {
@@ -42,11 +46,15 @@ TEST_F(CsvTest, QuotingOfSpecialStrings) {
   ASSERT_TRUE(
       db_->Insert({r_, {Value("has\"quote"), Value(2), Value(1.0)}}).ok());
   ASSERT_TRUE(db_->Insert({r_, {Value("123"), Value(3), Value(1.0)}}).ok());
+  ASSERT_TRUE(
+      db_->Insert({r_, {Value("two\nlines"), Value(4), Value(1.0)}}).ok());
 
   std::string csv = RelationToCsv(*db_, r_);
   Database reloaded(&catalog_);
   ASSERT_TRUE(LoadRelationFromCsv(csv, r_, &reloaded).ok());
   EXPECT_EQ(reloaded.Distance(*db_), 0u);
+  // The embedded newline is one quoted field, not a record break.
+  EXPECT_NE(csv.find("\"two\nlines\",4,"), std::string::npos);
   // The numeric-looking string stayed a string after the round trip.
   bool found_string_123 = false;
   for (const ITuple& irow : reloaded.relation(r_).rows()) {
@@ -84,11 +92,79 @@ TEST_F(CsvTest, WholeDatabaseRoundTrip) {
   Database db(&catalog_);
   ASSERT_TRUE(db.Insert({r_, {Value("x"), Value(1), Value(2.0)}}).ok());
   ASSERT_TRUE(db.Insert({s, {Value("key")}}).ok());
+  // A quoted newline followed by text that looks like a relation header:
+  // records end only at newlines outside quotes.
+  ASSERT_TRUE(
+      db.Insert({r_, {Value("a\n## S\nb"), Value(2), Value(0.5)}}).ok());
+  ASSERT_TRUE(db.Insert({s, {Value("\nlead")}}).ok());
 
   std::string blob = DatabaseToCsv(db);
   Database reloaded(&catalog_);
   ASSERT_TRUE(LoadDatabaseFromCsv(blob, &reloaded).ok());
   EXPECT_EQ(reloaded.Distance(db), 0u);
+  EXPECT_EQ(reloaded.TotalFacts(), 4u);
+}
+
+// The writer renders rows from their ids with a per-call memo. It must
+// emit exactly what EncodeCsvField makes of every materialized field, on
+// every branch: NULL, inline ints, ints outside the inline range, doubles,
+// strings that look numeric, the empty string, and strings that need
+// quoting. Values repeat across rows and relations so the memo is hit.
+TEST_F(CsvTest, IdSpaceWriterMatchesMaterializedEncoding) {
+  RelationId s = *catalog_.AddRelation("S", {"a", "b"});
+  Database db(&catalog_);
+  const std::vector<Value> values = {
+      Value(),
+      Value(0),
+      Value(42),
+      Value(kMaxInlineInt),
+      Value(int64_t{-7}),
+      Value(kMaxInlineInt + 1),
+      Value(INT64_MIN),
+      Value(0.5),
+      Value(-1.25),
+      Value(0.1234567),
+      Value(1e20),
+      Value("123"),
+      Value("1e5"),
+      Value("inf"),
+      Value(" 12"),
+      Value(""),
+      Value("has,comma"),
+      Value("say \"hi\""),
+      Value("two\nlines"),
+      Value("plain"),
+  };
+  for (size_t i = 0; i < values.size(); ++i) {
+    const Value& a = values[i];
+    const Value& b = values[(i + 7) % values.size()];
+    ASSERT_TRUE(db.Insert({r_, {a, b, Value(static_cast<int64_t>(i))}}).ok());
+    ASSERT_TRUE(db.Insert({r_, {b, a, values[(i + 3) % values.size()]}}).ok());
+    ASSERT_TRUE(db.Insert({s, {a, a}}).ok());
+  }
+
+  auto reference_relation = [&](RelationId id) {
+    std::string out;
+    const std::vector<std::string>& attributes =
+        catalog_.schema(id).attributes;
+    for (size_t i = 0; i < attributes.size(); ++i) {
+      out += (i > 0 ? "," : "") + attributes[i];
+    }
+    out += "\n";
+    for (const ITuple& row : db.relation(id).rows()) {
+      Tuple t = MaterializeTuple(row, db.dict());
+      for (size_t i = 0; i < t.size(); ++i) {
+        out += (i > 0 ? "," : "") + EncodeCsvField(t[i]);
+      }
+      out += "\n";
+    }
+    return out;
+  };
+  EXPECT_EQ(RelationToCsv(db, r_), reference_relation(r_));
+  EXPECT_EQ(RelationToCsv(db, s), reference_relation(s));
+  std::string expected = "## R\n" + reference_relation(r_) + "\n## S\n" +
+                         reference_relation(s) + "\n";
+  EXPECT_EQ(DatabaseToCsv(db), expected);
 }
 
 TEST_F(CsvTest, UnknownRelationNameInBlob) {

@@ -11,7 +11,8 @@
 //    transcripts and final facts vs. their solo runs, while the broker
 //    issues exactly one oracle question per distinct signature — at thread
 //    counts 1, 2 and 8;
-//  * admission control, snapshot isolation and in-order commit.
+//  * admission control, admission that keeps every base value exact,
+//    snapshot isolation and in-order commit.
 
 #include <gtest/gtest.h>
 
@@ -204,7 +205,8 @@ class ScheduleDriver {
 // ---------------------------------------------------------------------------
 // Shared fixtures.
 
-/// One fully wired service stack over the Figure-1 sample.
+/// One fully wired service stack: a perfect crowd over `truth` and a
+/// manager over the base `dirty` (by default the Figure-1 sample).
 struct ServiceStack {
   FakeClock clock;
   crowd::SimulatedOracle sim;
@@ -213,13 +215,19 @@ struct ServiceStack {
   common::ThreadPool pool;
   SessionManager manager;
 
-  ServiceStack(const workload::FigureOneSample& s, size_t threads,
+  ServiceStack(const relational::Database* dirty,
+               const relational::Database* truth, size_t threads,
                BrokerConfig config = {}, ServiceLimits limits = {})
-      : sim(s.ground_truth.get()),
+      : sim(truth),
         oracle(&sim, &clock),
         broker(&oracle, &clock, config),
         pool(threads),
-        manager(s.dirty.get(), &broker, &pool, limits) {}
+        manager(dirty, &broker, &pool, limits) {}
+
+  ServiceStack(const workload::FigureOneSample& s, size_t threads,
+               BrokerConfig config = {}, ServiceLimits limits = {})
+      : ServiceStack(s.dirty.get(), s.ground_truth.get(), threads, config,
+                     limits) {}
 };
 
 SessionSpec SpecOf(std::vector<std::string> queries, uint64_t seed) {
@@ -242,9 +250,9 @@ struct DirectRun {
   std::string questions;
 };
 
-DirectRun RunDirect(const workload::FigureOneSample& s, const SessionSpec& spec,
+DirectRun RunDirect(const relational::Database& dirty, const SessionSpec& spec,
                     crowd::Oracle* oracle) {
-  relational::Database db = *s.dirty;
+  relational::Database db = dirty;
   Session::Options options;
   options.panel.sample_size = 1;
   options.seed = spec.seed;
@@ -548,7 +556,7 @@ TEST_F(ServiceTest, BrokerRetriesScriptedErrorCompletions) {
 TEST_F(ServiceTest, SoloServiceSessionMatchesDirectSession) {
   SessionSpec spec = SpecOf({kQ1, kQ2}, /*seed=*/11);
   crowd::SimulatedOracle reference_oracle(s_->ground_truth.get());
-  DirectRun reference = RunDirect(*s_, spec, &reference_oracle);
+  DirectRun reference = RunDirect(*s_->dirty, spec, &reference_oracle);
   ASSERT_FALSE(reference.journal.empty());
 
   ServiceStack st(*s_, /*threads=*/1);  // inline pool, zero-latency oracle
@@ -581,7 +589,7 @@ TEST_F(ServiceTest, CrossSessionDedupPinsTranscriptsAndQuestionCount) {
   std::vector<DirectRun> reference;
   for (const SessionSpec& spec : specs) {
     crowd::SimulatedOracle oracle(s_->ground_truth.get());
-    reference.push_back(RunDirect(*s_, spec, &oracle));
+    reference.push_back(RunDirect(*s_->dirty, spec, &oracle));
   }
 
   // Solo service runs (one fresh stack per spec) both re-check the solo
@@ -759,7 +767,7 @@ TEST_F(ServiceTest, OracleFailureFailsSessionCleanlyAndLateAnswerIsDiscarded) {
   SessionSpec retry_spec = SpecOf({kQ1}, 1);
   retry_spec.scope = "member0-retry";
   crowd::SimulatedOracle reference_oracle(s_->ground_truth.get());
-  DirectRun reference = RunDirect(*s_, retry_spec, &reference_oracle);
+  DirectRun reference = RunDirect(*s_->dirty, retry_spec, &reference_oracle);
   // Driven like the first session, so its finish observer has returned
   // before `driver` goes out of scope.
   driver.AddLive(1);
@@ -869,7 +877,7 @@ TEST_F(ServiceTest, UnionViewsRunThroughTheService) {
                         "(x) :- Teams(x, 'EU'); (x) :- Teams(x, 'SA')."});
   spec.seed = 5;
   crowd::SimulatedOracle reference_oracle(s_->ground_truth.get());
-  DirectRun reference = RunDirect(*s_, spec, &reference_oracle);
+  DirectRun reference = RunDirect(*s_->dirty, spec, &reference_oracle);
 
   ServiceStack st(*s_, /*threads=*/1);
   auto id = st.manager.Submit(spec);
@@ -879,6 +887,44 @@ TEST_F(ServiceTest, UnionViewsRunThroughTheService) {
   ASSERT_TRUE(result->status.ok()) << result->status.ToString();
   EXPECT_EQ(result->journal, reference.journal);
   EXPECT_EQ(result->final_facts_csv, reference.facts);
+}
+
+/// Admission must hand a session every value of the base exactly, including
+/// the ones a CSV round trip of the base can break: a string with an
+/// embedded newline, and a double with more decimals than Value::ToString
+/// prints. Over a clean base whose Notes column holds `note`, a session must
+/// apply no edit and end exactly like its solo run over a copy.
+void ExpectCleanAdmission(const Value& note) {
+  relational::Catalog catalog;
+  relational::RelationId notes = *catalog.AddRelation("Notes", {"id", "note"});
+  relational::Database truth(&catalog);
+  ASSERT_TRUE(truth.Insert({notes, {Value(1), note}}).ok());
+  ASSERT_TRUE(truth.Insert({notes, {Value(2), Value("plain")}}).ok());
+  const relational::Database base = truth;
+
+  // The view's head returns the column that holds the value.
+  SessionSpec spec = SpecOf({"(n) :- Notes(i, n)."}, /*seed=*/3);
+  crowd::SimulatedOracle reference_oracle(&truth);
+  DirectRun reference = RunDirect(base, spec, &reference_oracle);
+  EXPECT_TRUE(reference.journal.empty());
+
+  ServiceStack st(&base, &truth, /*threads=*/1);
+  auto id = st.manager.Submit(spec);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  auto result = st.manager.Wait(*id);
+  ASSERT_TRUE(result.ok());
+  ASSERT_TRUE(result->status.ok()) << result->status.ToString();
+  EXPECT_EQ(result->journal, "");
+  EXPECT_EQ(result->final_facts_csv, reference.facts);
+  EXPECT_EQ(crowd::ToString(result->questions), reference.questions);
+}
+
+TEST(ServiceAdmissionTest, AdmitsAStringWithANewline) {
+  ExpectCleanAdmission(Value("two\nlines"));
+}
+
+TEST(ServiceAdmissionTest, AdmitsADoubleWithSevenDecimals) {
+  ExpectCleanAdmission(Value(0.1234567));
 }
 
 }  // namespace
