@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "src/common/strings.h"
 #include "src/relational/value_id.h"
 
 namespace qoco::query {
@@ -348,6 +349,47 @@ std::vector<relational::Tuple> EvalResult::AnswerTuples() const {
   return tuples;
 }
 
+namespace {
+
+/// First-occurrence witness dedup for one answer at a time, through one
+/// flat open-addressed table of indexes into the answer's witness list
+/// (linear probing, power-of-two size of at least twice the assignment
+/// count). Reset clears it for the next answer without reallocating.
+class WitnessDedup {
+ public:
+  void Reset(size_t max_witnesses) {
+    size_t size = 16;
+    while (size < 2 * max_witnesses) size *= 2;
+    slots_.assign(size, Slot{});
+  }
+
+  void AddIfNew(provenance::WitnessSet* set, provenance::Witness w) {
+    size_t hash = w.size();
+    for (const relational::IFact& f : w.facts()) {
+      common::HashCombine(&hash, relational::IFactHash{}(f));
+    }
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = hash & mask;; i = (i + 1) & mask) {
+      Slot& slot = slots_[i];
+      if (slot.index == 0) {
+        slot = Slot{hash, set->size() + 1};
+        set->push_back(std::move(w));
+        return;
+      }
+      if (slot.hash == hash && (*set)[slot.index - 1] == w) return;
+    }
+  }
+
+ private:
+  struct Slot {
+    size_t hash = 0;
+    size_t index = 0;  // 1 + position in the witness list; 0 = empty.
+  };
+  std::vector<Slot> slots_;
+};
+
+}  // namespace
+
 EvalResult Evaluator::Evaluate(const CQuery& q) const {
   EvalResult result;
   std::vector<Assignment> assignments = FindExtensions(
@@ -355,9 +397,16 @@ EvalResult Evaluator::Evaluate(const CQuery& q) const {
   for (Assignment& a : assignments) {
     std::optional<relational::Tuple> answer = a.ApplyHead(q.head());
     if (!answer.has_value()) continue;  // Unsafe head; cannot happen via Make.
-    AnswerInfo* info = result.FindOrInsert(*answer);
-    EvalResult::AddWitnessIfNew(info, WitnessFor(q, a));
-    info->assignments.push_back(std::move(a));
+    result.FindOrInsert(*answer)->assignments.push_back(std::move(a));
+  }
+  // Each answer's witnesses in first occurrence over its assignments: the
+  // order hitting-set element numbering (and so every transcript) sees.
+  WitnessDedup dedup;
+  for (AnswerInfo& info : result.answers_) {
+    dedup.Reset(info.assignments.size());
+    for (const Assignment& a : info.assignments) {
+      dedup.AddIfNew(&info.witnesses, WitnessFor(q, a));
+    }
   }
   return result;
 }

@@ -41,8 +41,9 @@ class EvalResult {
   bool Remove(const relational::Tuple& t);
 
   /// Appends `w` to `info`'s witness set unless already present; returns
-  /// whether it was added. Witness sets are small, so the linear dedup scan
-  /// matches what evaluation does internally.
+  /// whether it was added. A linear scan: it serves one-off appends (the
+  /// incremental view's insert delta, the union merge), while Evaluate
+  /// builds whole witness sets through a hash index.
   static bool AddWitnessIfNew(AnswerInfo* info, provenance::Witness w);
 
   /// Just the answer tuples, in a deterministic (sorted) order.

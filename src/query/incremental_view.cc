@@ -117,8 +117,8 @@ void IncrementalView::OnErase(const relational::Fact& f) {
       relational::FindFact(f, db_->dict());
   if (!fi.has_value()) return;
   // Delta rule, delete side: drop every assignment whose witness contains
-  // f, garbage-collect the witness sets of answers that lost assignments,
-  // and erase answers whose assignment set becomes empty.
+  // f, filter the witness lists of answers that lost assignments, and
+  // erase answers whose assignment set becomes empty.
   std::vector<AnswerInfo>& answers = result_.mutable_answers();
   for (AnswerInfo& info : answers) {
     size_t before = info.assignments.size();
@@ -126,17 +126,12 @@ void IncrementalView::OnErase(const relational::Fact& f) {
       return AssignmentUsesFact(q_, a, *fi);
     });
     if (info.assignments.size() == before) continue;
-    // Rebuild the witness set from the surviving assignments, preserving
-    // first-occurrence order (the same order full evaluation produces).
-    provenance::WitnessSet survivors;
-    for (const Assignment& a : info.assignments) {
-      provenance::Witness w = Evaluator::WitnessFor(q_, a);
-      if (std::find(survivors.begin(), survivors.end(), w) ==
-          survivors.end()) {
-        survivors.push_back(std::move(w));
-      }
-    }
-    info.witnesses = std::move(survivors);
+    // An assignment uses f iff f is in its witness, so the assignments that
+    // share a witness are dropped or kept together: filtering the witness
+    // list keeps exactly the survivors' witnesses in first-occurrence order.
+    std::erase_if(info.witnesses, [&](const provenance::Witness& w) {
+      return w.Contains(*fi);
+    });
   }
   std::erase_if(answers,
                 [](const AnswerInfo& info) { return info.assignments.empty(); });
@@ -171,6 +166,10 @@ common::Status IncrementalView::AuditInvariants() const {
         }
       }
     }
+    // The witness list must be the first-occurrence dedup of the cached
+    // assignments' witnesses, in order: hitting-set element numbers (and
+    // so transcripts) follow it.
+    provenance::WitnessSet first_occurrence;
     for (const Assignment& a : info.assignments) {
       std::optional<relational::Tuple> head = a.ApplyHead(q_.head());
       if (!head.has_value() || *head != info.tuple) {
@@ -180,11 +179,15 @@ common::Status IncrementalView::AuditInvariants() const {
         continue;
       }
       provenance::Witness w = Evaluator::WitnessFor(q_, a);
-      if (std::find(info.witnesses.begin(), info.witnesses.end(), w) ==
-          info.witnesses.end()) {
-        audit.Violation() << "answer " << tuple
-                          << " misses the witness of one of its assignments";
+      if (std::find(first_occurrence.begin(), first_occurrence.end(), w) ==
+          first_occurrence.end()) {
+        first_occurrence.push_back(std::move(w));
       }
+    }
+    if (info.witnesses != first_occurrence) {
+      audit.Violation() << "witnesses of " << tuple
+                        << " are not its assignments' witnesses in first "
+                        << "occurrence order";
     }
   }
 

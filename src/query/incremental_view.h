@@ -26,8 +26,8 @@ namespace qoco::query {
 ///    atoms (an assignment may pin f at several atoms) and against the
 ///    cached result (notifications are idempotent) happens on merge.
 ///  * delete of f: every valid assignment that maps some atom to f has
-///    lost its witness; drop those assignments, garbage-collect witnesses
-///    from the survivors, and erase answers left with no assignment.
+///    lost its witness; drop those assignments, drop the witnesses that
+///    contain f, and erase answers left with no assignment.
 ///
 /// Both rules are exact for conjunctive queries with inequalities (the
 /// query language of the paper): inserts never remove answers and deletes
@@ -68,9 +68,10 @@ class IncrementalView {
 
   /// Deep audit of the maintained result: answers strictly sorted, no
   /// answer without assignments or witnesses survived GC, every cached
-  /// witness round-trips through the live database and through its
-  /// assignment, and the whole cached EvalResult (answer set, witness sets,
-  /// assignment sets) equals a from-scratch evaluation of the query. Costs
+  /// witness is over live facts, each answer's witness list equals, in
+  /// order, the first-occurrence dedup of its assignments' witnesses, and
+  /// the whole cached EvalResult (answer set, witness sets, assignment
+  /// sets) equals a from-scratch evaluation of the query. Costs
   /// one full evaluation — debug/fuzz tooling, not the hot path. Does not
   /// touch stats(). Returns OK or kInternal listing every violation.
   common::Status AuditInvariants() const;

@@ -14,8 +14,13 @@ namespace {
 bool NeedsQuoting(const std::string& s) {
   if (s.empty()) return true;
   for (char c : s) {
-    if (c == ',' || c == '"' || c == '\n' || c == '\r') return true;
+    if (c == ',' || c == '"' || c == '\n' || c == '\r' || c == '\t') {
+      return true;
+    }
   }
+  // Readers strip whitespace around a whole record, which would eat a
+  // leading space of its first field or a trailing one of its last.
+  if (s.front() == ' ' || s.back() == ' ') return true;
   // Quote strings that would otherwise round-trip as numbers.
   char* end = nullptr;
   errno = 0;
@@ -84,10 +89,9 @@ class IdCsvWriter {
   std::vector<std::string> memo_;
 };
 
-/// The CSV record of `text` that starts at `*pos`: everything up to the
-/// next newline outside double quotes, so a quoted field may span lines.
-/// Advances `*pos` past that newline.
-std::string_view NextRecord(std::string_view text, size_t* pos) {
+}  // namespace
+
+std::string_view NextCsvRecord(std::string_view text, size_t* pos) {
   size_t start = *pos;
   size_t end = start;
   bool in_quotes = false;
@@ -101,6 +105,8 @@ std::string_view NextRecord(std::string_view text, size_t* pos) {
   *pos = end < text.size() ? end + 1 : end;
   return text.substr(start, end - start);
 }
+
+namespace {
 
 common::Status SplitRecordImpl(std::string_view line,
                                std::vector<std::string>* fields,
@@ -175,7 +181,8 @@ common::Status LoadRelationFromCsv(std::string_view text, RelationId id,
   std::vector<bool> was_quoted;
   bool saw_header = false;
   for (size_t pos = 0; pos < text.size();) {
-    std::string_view record = common::StripWhitespace(NextRecord(text, &pos));
+    std::string_view record =
+        common::StripWhitespace(NextCsvRecord(text, &pos));
     if (record.empty()) continue;
     QOCO_RETURN_NOT_OK(SplitRecordImpl(record, &fields, &was_quoted));
     if (!saw_header) {
@@ -239,7 +246,8 @@ common::Status LoadDatabaseFromCsv(std::string_view text, Database* db) {
   };
   for (size_t pos = 0; pos < text.size();) {
     size_t record_start = pos;
-    std::string_view record = common::StripWhitespace(NextRecord(text, &pos));
+    std::string_view record =
+        common::StripWhitespace(NextCsvRecord(text, &pos));
     if (!common::StartsWith(record, "## ")) continue;
     QOCO_RETURN_NOT_OK(flush(record_start));
     std::string name(common::StripWhitespace(record.substr(3)));

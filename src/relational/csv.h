@@ -11,11 +11,12 @@
 namespace qoco::relational {
 
 /// Serializes one relation as CSV: a header row of attribute names followed
-/// by one row per tuple, in storage order. Strings containing commas, quotes
-/// or newlines are double-quoted with "" escaping; integers and doubles are
-/// printed bare. Rows are rendered from their ids: each distinct value is
-/// encoded once per call (EncodeCsvField), so the output is exactly the
-/// EncodeCsvField rendering of every materialized field.
+/// by one row per tuple, in storage order. Strings containing commas, quotes,
+/// newlines or tabs, or starting or ending with a space, are double-quoted
+/// with "" escaping; integers and doubles are printed bare. Rows are
+/// rendered from their ids: each distinct value is encoded once per call
+/// (EncodeCsvField), so the output is exactly the EncodeCsvField rendering
+/// of every materialized field.
 std::string RelationToCsv(const Database& db, RelationId id);
 
 /// Parses CSV `text` (with header row, which is validated against the
@@ -38,6 +39,11 @@ common::Status LoadDatabaseFromCsv(std::string_view text, Database* db);
 /// Encodes one value as a CSV field (quoting strings that would otherwise
 /// be ambiguous). Building block shared with the edit journal.
 std::string EncodeCsvField(const Value& v);
+
+/// The CSV record of `text` that starts at `*pos`: everything up to the
+/// next newline outside double quotes, so a quoted field may span lines.
+/// Advances `*pos` past that newline. Shared with the edit journal.
+std::string_view NextCsvRecord(std::string_view text, size_t* pos);
 
 /// Splits one CSV record into raw fields, honoring quotes; `was_quoted[i]`
 /// records whether field i was quoted (quoted fields stay strings).

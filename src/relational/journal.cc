@@ -27,26 +27,36 @@ void EditJournal::Append(bool insert, const Fact& fact,
 }
 
 common::Status ReplayJournal(std::string_view journal, Database* db) {
-  for (const std::string& raw_line : common::Split(journal, '\n')) {
-    std::string_view line = common::StripWhitespace(raw_line);
+  std::vector<std::string> fields;
+  std::vector<bool> was_quoted;
+  for (size_t pos = 0; pos < journal.size();) {
+    // Records end at a newline outside quotes, and the sign and the
+    // relation name end at the first two tabs, so a quoted string holding
+    // a newline or a tab stays inside its field.
+    std::string_view line =
+        common::StripWhitespace(NextCsvRecord(journal, &pos));
     if (line.empty()) continue;
-    std::vector<std::string> parts = common::Split(line, '\t');
-    if (parts.size() != 3 || (parts[0] != "+" && parts[0] != "-")) {
+    const size_t sign_end = line.find('\t');
+    const size_t name_end = sign_end == std::string_view::npos
+                                ? std::string_view::npos
+                                : line.find('\t', sign_end + 1);
+    const std::string_view sign = line.substr(0, sign_end);
+    if (name_end == std::string_view::npos || (sign != "+" && sign != "-")) {
       return common::Status::ParseError("malformed journal record: " +
                                         std::string(line));
     }
+    const std::string name(line.substr(sign_end + 1, name_end - sign_end - 1));
     QOCO_ASSIGN_OR_RETURN(RelationId relation,
-                          db->catalog().FindRelation(parts[1]));
-    std::vector<std::string> fields;
-    std::vector<bool> was_quoted;
-    QOCO_RETURN_NOT_OK(SplitCsvRecord(parts[2], &fields, &was_quoted));
+                          db->catalog().FindRelation(name));
+    QOCO_RETURN_NOT_OK(
+        SplitCsvRecord(line.substr(name_end + 1), &fields, &was_quoted));
     Tuple tuple;
     tuple.reserve(fields.size());
     for (size_t i = 0; i < fields.size(); ++i) {
       tuple.push_back(ParseCsvField(fields[i], was_quoted[i]));
     }
     Fact fact{relation, std::move(tuple)};
-    if (parts[0] == "+") {
+    if (sign == "+") {
       QOCO_RETURN_NOT_OK(db->Insert(fact).status());
     } else {
       QOCO_RETURN_NOT_OK(db->Erase(fact).status());

@@ -21,9 +21,10 @@ namespace qoco::relational {
 ///   +<TAB>RelationName<TAB>field,field,...
 ///   -<TAB>RelationName<TAB>field,field,...
 ///
-/// Fields use the CSV escaping rules of relational/csv.h, so values
-/// containing commas or quotes round-trip. ReplayJournal still splits on
-/// every newline and tab, so a value holding either does not replay yet.
+/// Fields use the CSV escaping rules of relational/csv.h: strings holding
+/// a comma, a quote, a newline or a tab, or starting or ending with a
+/// space, are quoted, so every value round-trips. A record ends at a
+/// newline outside quotes.
 /// An immutable position in an EditJournal: the byte length of a prefix
 /// whose content never changes afterwards (the journal is append-only).
 /// Snapshot-isolated readers (src/service/session_manager.h) capture a

@@ -51,6 +51,8 @@ const std::map<std::string, std::string>& BadFixtureExpectations() {
       {"unjustified_suppression.cc", "unjustified-suppression"},
       // Lives under bad/src/service/: the rule only arms inside that zone.
       {"blocking_oracle.cc", "blocking-oracle"},
+      // Lives under bad/src/query/, one of the zones the rule arms in.
+      {"clock_read.cc", "clock-read"},
   };
   return kExpect;
 }

@@ -48,6 +48,10 @@ TEST_F(CsvTest, QuotingOfSpecialStrings) {
   ASSERT_TRUE(db_->Insert({r_, {Value("123"), Value(3), Value(1.0)}}).ok());
   ASSERT_TRUE(
       db_->Insert({r_, {Value("two\nlines"), Value(4), Value(1.0)}}).ok());
+  // Whitespace at either end of a record would be stripped on load unless
+  // quoted.
+  ASSERT_TRUE(
+      db_->Insert({r_, {Value(" spaced "), Value(5), Value("ends\t")}}).ok());
 
   std::string csv = RelationToCsv(*db_, r_);
   Database reloaded(&catalog_);

@@ -1,17 +1,21 @@
 // Unit and property tests for the query evaluator: joins, inequalities,
 // partial-assignment extension, limits, witness deduplication, union
-// queries, and a randomized equivalence check against a brute-force
-// reference evaluator.
+// queries, a randomized equivalence check against a brute-force reference
+// evaluator, and the witness order (first occurrence over each answer's
+// assignments) against a linear reference dedup.
 
 #include "src/query/evaluator.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "src/common/rng.h"
 #include "src/query/parser.h"
 #include "src/relational/database.h"
+#include "src/workload/noise.h"
+#include "src/workload/soccer.h"
 
 namespace qoco::query {
 namespace {
@@ -221,6 +225,42 @@ std::set<Tuple> BruteForce(const CQuery& q, const Database& db) {
   return answers;
 }
 
+/// The reference witness order: a linear first-occurrence dedup of the
+/// witnesses of `assignments`, in assignment order.
+provenance::WitnessSet LinearWitnessDedup(
+    const CQuery& q, const std::vector<Assignment>& assignments) {
+  provenance::WitnessSet out;
+  for (const Assignment& a : assignments) {
+    provenance::Witness w = Evaluator::WitnessFor(q, a);
+    if (std::find(out.begin(), out.end(), w) == out.end()) {
+      out.push_back(std::move(w));
+    }
+  }
+  return out;
+}
+
+/// Every answer's witness list equals the linear reference element by
+/// element. Returns the number of answers whose assignments share a
+/// witness (more assignments than witnesses), so callers can check that
+/// the dedup was exercised.
+size_t ExpectReferenceWitnessOrder(const CQuery& q, const EvalResult& result,
+                                   const std::string& label) {
+  size_t shared = 0;
+  for (const AnswerInfo& info : result.answers()) {
+    provenance::WitnessSet want = LinearWitnessDedup(q, info.assignments);
+    EXPECT_EQ(info.witnesses.size(), want.size())
+        << label << " answer " << relational::TupleToString(info.tuple);
+    for (size_t i = 0; i < std::min(want.size(), info.witnesses.size());
+         ++i) {
+      EXPECT_TRUE(info.witnesses[i] == want[i])
+          << label << " answer " << relational::TupleToString(info.tuple)
+          << " witness " << i;
+    }
+    if (info.assignments.size() > info.witnesses.size()) ++shared;
+  }
+  return shared;
+}
+
 class EvaluatorPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(EvaluatorPropertyTest, MatchesBruteForceOnRandomInstances) {
@@ -254,15 +294,42 @@ TEST_P(EvaluatorPropertyTest, MatchesBruteForceOnRandomInstances) {
     auto q = ParseQuery(text, catalog);
     ASSERT_TRUE(q.ok()) << text;
     Evaluator eval(&db);
-    std::vector<Tuple> got = eval.Evaluate(*q).AnswerTuples();
+    EvalResult result = eval.Evaluate(*q);
+    std::vector<Tuple> got = result.AnswerTuples();
     std::set<Tuple> want = BruteForce(*q, db);
     EXPECT_EQ(std::set<Tuple>(got.begin(), got.end()), want)
         << "query " << text << " seed " << GetParam();
+    ExpectReferenceWitnessOrder(
+        *q, result,
+        std::string("query ") + text + " seed " + std::to_string(GetParam()));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, EvaluatorPropertyTest,
                          ::testing::Range<uint64_t>(1, 21));
+
+// The soccer queries over one dirty 1x instance: large witness sets (Q4's
+// largest answer holds well over a hundred) and, in Q1, Q2 and Q4, answers
+// whose assignments share a witness.
+TEST(EvaluatorWitnessOrderTest, SoccerQueriesMatchLinearReference) {
+  auto data = workload::MakeSoccerData(workload::SoccerParams{});
+  ASSERT_TRUE(data.ok());
+  auto dirty =
+      workload::MakeDirty(*data->ground_truth, workload::NoiseParams{});
+  ASSERT_TRUE(dirty.ok());
+  Evaluator eval(&*dirty);
+  for (size_t qi = 1; qi <= 5; ++qi) {
+    auto q = workload::SoccerQuery(qi, *data->catalog);
+    ASSERT_TRUE(q.ok());
+    EvalResult result = eval.Evaluate(*q);
+    EXPECT_FALSE(result.empty()) << "Q" << qi;
+    const size_t shared =
+        ExpectReferenceWitnessOrder(*q, result, "Q" + std::to_string(qi));
+    if (qi == 1 || qi == 2 || qi == 4) {
+      EXPECT_GT(shared, 0u) << "Q" << qi;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace qoco::query

@@ -244,6 +244,19 @@ TEST_F(IncrementalViewAuditTest, DetectsPhantomWitnessOverAbsentFact) {
   ExpectViolation(view.AuditInvariants(), "absent fact");
 }
 
+TEST_F(IncrementalViewAuditTest, DetectsWitnessOrderDrift) {
+  // Answer (x) has two witnesses, {R(x, y), S(y)} and {R(x, y), S(z)}.
+  // Swapping them keeps the witness *set*, so only the order check fires.
+  IncrementalView view(Parse("(a) :- R(a, b), S(c)."), db_.get());
+  EvalResult& cached = IncrementalViewCorruptor::Result(view);
+  provenance::WitnessSet& witnesses = cached.mutable_answers()[0].witnesses;
+  ASSERT_EQ(witnesses.size(), 2u);
+  std::swap(witnesses[0], witnesses[1]);
+  common::Status audit = view.AuditInvariants();
+  ExpectViolation(audit, "first occurrence order");
+  EXPECT_EQ(audit.message().find("from-scratch"), std::string::npos);
+}
+
 TEST_F(IncrementalViewAuditTest, DetectsStaleCachedAnswer) {
   IncrementalView view(Parse("(a) :- R(a, b), S(b)."), db_.get());
   // Mutate the database without notifying the view: the semantic pass must

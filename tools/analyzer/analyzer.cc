@@ -197,6 +197,11 @@ const std::vector<RuleInfo>& Rules() {
        "direct crowd::Oracle member calls inside src/service/",
        "ask through BrokerOracle (QuestionBroker::AskBlocking) so questions "
        "dedup across sessions, retry on timeout, and fail closed"},
+      {"clock-read",
+       "clock reads (std::chrono clocks, clock_gettime, gettimeofday) in "
+       "src/relational/, src/query/ or src/cleaning/",
+       "keep timing out of storage, evaluation and cleaning; measure from "
+       "the service or a benchmark, so transcripts never depend on time"},
       {"unjustified-suppression",
        "qoco-lint allow-comments with no justification",
        "every suppression documents why it is safe: "
@@ -524,6 +529,15 @@ const SelfTestCase kCases[] = {
      "bool F(crowd::Oracle* oracle, const relational::Fact& fact) {\n"
      "  return oracle->IsFactTrue(fact);\n"
      "}"},
+
+    {"steady-clock-in-query", "clock-read", true, "src/query/a.cc",
+     "auto start = std::chrono::steady_clock::now();"},
+    {"gettimeofday-in-cleaning", "clock-read", true, "src/cleaning/a.cc",
+     "timeval tv;\ngettimeofday(&tv, nullptr);"},
+    {"clock-in-service", "clock-read", false, "src/service/a.cc",
+     "auto start = std::chrono::steady_clock::now();"},
+    {"clock-in-comment", "clock-read", false, "src/relational/a.cc",
+     "// no steady_clock here\nconst char* s = \"system_clock\";"},
 
     {"suppress-trailing", "unordered-iteration", false, "src/a.cc",
      "std::unordered_map<int, int> m_;\n"

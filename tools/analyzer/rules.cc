@@ -910,6 +910,32 @@ void RuleBlockingOracle(const SourceFile& f, std::vector<Finding>* out) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Rule 12: clock-read
+// ---------------------------------------------------------------------------
+
+/// Storage, evaluation and cleaning must not read a clock: their outputs
+/// feed transcripts, and timing belongs to the layers that measure them
+/// (the service, benchmarks). Approximation: any identifier token naming a
+/// std::chrono clock or a POSIX time call in a src/relational/, src/query/
+/// or src/cleaning/ file; comments and string literals never match.
+void RuleClockRead(const SourceFile& f, std::vector<Finding>* out) {
+  if (f.path.find("src/relational/") == std::string::npos &&
+      f.path.find("src/query/") == std::string::npos &&
+      f.path.find("src/cleaning/") == std::string::npos) {
+    return;
+  }
+  static const std::set<std::string> kClocks = {
+      "steady_clock", "system_clock", "high_resolution_clock",
+      "clock_gettime", "gettimeofday"};
+  for (const Token& t : f.code) {
+    if (!IsIdent(t) || kClocks.count(t.text) == 0) continue;
+    out->push_back({f.path, t.line, "clock-read",
+                    t.text + " reads a clock inside the determinism surface; "
+                    "time sessions from the service or a benchmark"});
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -969,6 +995,7 @@ void RunRules(const SourceFile& file, const SourceFile* sibling,
   RuleGuardedBy(file, sibling, funcs,
                 sibling != nullptr ? &sibling_funcs : nullptr, findings);
   RuleBlockingOracle(file, findings);
+  RuleClockRead(file, findings);
 }
 
 }  // namespace qoco::analyze
