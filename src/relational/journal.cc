@@ -33,9 +33,16 @@ common::Status ReplayJournal(std::string_view journal, Database* db) {
     // Records end at a newline outside quotes, and the sign and the
     // relation name end at the first two tabs, so a quoted string holding
     // a newline or a tab stays inside its field.
-    std::string_view line =
-        common::StripWhitespace(NextCsvRecord(journal, &pos));
+    const size_t start = pos;
+    const std::string_view record = NextCsvRecord(journal, &pos);
+    const std::string_view line = common::StripWhitespace(record);
     if (line.empty()) continue;
+    // A record without its newline was cut by a torn write or a snapshot
+    // inside it: its last field may be a prefix of the committed value.
+    if (pos == start + record.size()) {
+      return common::Status::ParseError("unterminated journal record: " +
+                                        std::string(line));
+    }
     const size_t sign_end = line.find('\t');
     const size_t name_end = sign_end == std::string_view::npos
                                 ? std::string_view::npos

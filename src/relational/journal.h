@@ -80,8 +80,9 @@ class EditJournal {
 
 /// Replays a journal over `db`: every `+` line is inserted, every `-` line
 /// erased (idempotently, matching edit semantics). Unknown relations,
-/// malformed records or arity mismatches abort with ParseError; the
-/// database may then be partially replayed, as with a torn log.
+/// malformed records, arity mismatches or a final record cut before its
+/// newline abort with ParseError; the database may then be partially
+/// replayed, as with a torn log.
 common::Status ReplayJournal(std::string_view journal, Database* db);
 
 /// Convenience recovery: loads the CSV snapshot into a fresh database over

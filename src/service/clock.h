@@ -79,8 +79,9 @@ class FakeClock : public Clock {
 };
 
 /// Wall-clock implementation: Now() is microseconds since construction
-/// (steady), RunAt dispatches from a dedicated timer thread. Used by the
-/// load-generator bench and any real deployment of the service layer.
+/// (steady), RunAt dispatches from a dedicated timer thread. Used by
+/// perfbench's service workload and any real deployment of the service
+/// layer.
 class RealtimeClock : public Clock {
  public:
   RealtimeClock();

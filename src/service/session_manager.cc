@@ -13,7 +13,24 @@ SessionManager::SessionManager(const relational::Database* base,
                                common::ThreadPool* pool, ServiceLimits limits)
     : base_(base), broker_(broker), pool_(pool), limits_(limits) {}
 
+SessionManager::~SessionManager() { FreeRetired(); }
+
 common::Result<SessionId> SessionManager::Submit(SessionSpec spec) {
+  common::Result<SessionId> id = Admit(std::move(spec));
+  // Freed after the launch, so the new session does not wait for it.
+  FreeRetired();
+  return id;
+}
+
+void SessionManager::FreeRetired() {
+  std::vector<std::unique_ptr<relational::Database>> retired;
+  {
+    common::MutexLock lk(mu_);
+    retired.swap(retired_);
+  }
+}  // `retired` is destroyed here, outside the lock.
+
+common::Result<SessionId> SessionManager::Admit(SessionSpec spec) {
   // All catalog interning happens here, on the coordinator: query constants
   // during parsing, journal values during replay. Workers below only read
   // the catalog.
@@ -46,8 +63,8 @@ common::Result<SessionId> SessionManager::Submit(SessionSpec spec) {
   }
   // The private database is an id-space copy of the base: no value is
   // re-encoded, so every value the base holds reaches the session intact.
-  relational::Database db = *base_;
-  QOCO_RETURN_NOT_OK(relational::ReplayJournal(journal_prefix, &db));
+  auto db = std::make_unique<relational::Database>(*base_);
+  QOCO_RETURN_NOT_OK(relational::ReplayJournal(journal_prefix, db.get()));
 
   auto state = std::make_unique<SessionState>(std::move(db));
   state->steps = std::move(steps);
@@ -114,7 +131,7 @@ void SessionManager::RunOne(SessionId id) {
   options.cleaner = state->cleaner;
   options.panel.sample_size = 1;
   options.seed = state->seed;
-  qoco::Session session(&state->db, {&shim}, options);
+  qoco::Session session(state->db.get(), {&shim}, options);
 
   common::Status status = common::Status::OK();
   for (const ParsedStep& step : state->steps) {
@@ -150,6 +167,8 @@ std::optional<SessionId> SessionManager::FinishAndDequeue(SessionId id) {
     common::MutexLock lk(mu_);
     SessionState& state = *sessions_.at(id);
     state.done = true;
+    // Freed by the coordinator's next Submit or Wait, never on a worker.
+    retired_.push_back(std::move(state.db));
     if (running_ > 0) running_--;
     // Failed sessions commit nothing, but still advance the frontier.
     pending_commits_[id] =
@@ -175,13 +194,25 @@ std::optional<SessionId> SessionManager::FinishAndDequeue(SessionId id) {
 }
 
 common::Result<SessionResult> SessionManager::Wait(SessionId id) {
-  common::MutexLock lk(mu_);
-  auto it = sessions_.find(id);
-  if (it == sessions_.end()) {
+  std::unique_ptr<SessionState> state;
+  {
+    common::MutexLock lk(mu_);
+    auto it = sessions_.find(id);
+    while (it != sessions_.end() && !it->second->done) {
+      cv_.wait(lk);
+      // A concurrent Wait may have taken the result and erased the entry.
+      it = sessions_.find(id);
+    }
+    if (it != sessions_.end()) {
+      state = std::move(it->second);
+      sessions_.erase(it);
+    }
+  }
+  FreeRetired();
+  if (state == nullptr) {
     return common::Status::NotFound("no such session: " + std::to_string(id));
   }
-  while (!it->second->done) cv_.wait(lk);
-  return it->second->result;
+  return std::move(state->result);
 }
 
 void SessionManager::WaitIdle() {
@@ -207,6 +238,15 @@ size_t SessionManager::ActiveSessions() const {
 size_t SessionManager::RunningSessions() const {
   common::MutexLock lk(mu_);
   return running_;
+}
+
+size_t SessionManager::PrivateDatabases() const {
+  common::MutexLock lk(mu_);
+  size_t live = retired_.size();
+  for (const auto& [id, state] : sessions_) {
+    if (state->db != nullptr) live++;
+  }
+  return live;
 }
 
 size_t SessionManager::QueuedSessions() const {

@@ -91,6 +91,13 @@ struct SessionResult {
 /// session bodies only read the shared catalog and write their private
 /// databases, which keeps the repo's coordinator-only interning contract
 /// intact.
+///
+/// Bounded state: a finished session's private database is retired and
+/// freed on the coordinator by the next Submit or Wait (a worker frees
+/// nothing, so no session's time pays for another's teardown), and Wait
+/// hands the result over once and drops the session. Memory is held for
+/// the sessions in flight plus the results not yet collected, not for
+/// every session ever served.
 class SessionManager {
  public:
   /// `base`, `broker` and `pool` must outlive the manager. Every Submit
@@ -99,16 +106,24 @@ class SessionManager {
   /// session to completion before returning.
   SessionManager(const relational::Database* base, QuestionBroker* broker,
                  common::ThreadPool* pool, ServiceLimits limits = {});
+  /// Frees the retired databases. Every session must have finished.
+  ~SessionManager();
 
   /// Admits one session: parses its queries, copies the base and replays
   /// the commit journal up to spec.base_snapshot, and runs it (immediately,
   /// or queued behind max_active_sessions). Fails fast — without creating a
   /// session — on parse errors, an out-of-range snapshot, a journal prefix
   /// that does not replay, or a full queue (ResourceExhausted). Call from
-  /// the coordinator thread only.
+  /// the coordinator thread only. Once the new session is on the pool (and
+  /// on every error return), frees the databases of sessions finished
+  /// since the last Submit or Wait.
   common::Result<SessionId> Submit(SessionSpec spec) QOCO_COORDINATOR_ONLY;
 
-  /// Blocks until session `id` finishes and returns its result.
+  /// Blocks until session `id` finishes and hands its result over, once:
+  /// the result is moved out and the session's state dropped, so a later
+  /// Wait on `id` returns NotFound. Of two concurrent waiters on one id,
+  /// exactly one gets the result. Also frees retired databases, like
+  /// Submit.
   common::Result<SessionResult> Wait(SessionId id);
 
   /// Blocks until no session is active or queued.
@@ -131,6 +146,10 @@ class SessionManager {
   /// when every *running* session is parked on a crowd question.
   size_t RunningSessions() const;
 
+  /// Private databases alive right now: one per session admitted and not
+  /// yet finished, plus finished sessions' databases not yet freed.
+  size_t PrivateDatabases() const;
+
   /// Observer invoked (outside the manager lock) each time a session
   /// finishes. The deterministic test driver counts finishes against parks
   /// to decide when the fake clock may advance.
@@ -148,15 +167,23 @@ class SessionManager {
     uint64_t seed = 1;
     cleaning::CleanerConfig cleaner;
     std::string scope;
-    // Private copy: the base plus the spec's journal prefix. Kept after
-    // the session finishes.
-    relational::Database db;
+    // Private copy: the base plus the spec's journal prefix. Moved to
+    // retired_ when the session finishes; null from then on.
+    std::unique_ptr<relational::Database> db;
     bool done = false;
+    // Moved out by the one Wait that erases this state.
     SessionResult result;
 
-    explicit SessionState(relational::Database database)
+    explicit SessionState(std::unique_ptr<relational::Database> database)
         : db(std::move(database)) {}
   };
+
+  /// Submit's body: admits and launches the session.
+  common::Result<SessionId> Admit(SessionSpec spec) QOCO_COORDINATOR_ONLY;
+
+  /// Takes retired_ under the lock and destroys it outside the lock, on the
+  /// calling (coordinator) thread.
+  void FreeRetired();
 
   /// Pool worker body: runs `first`, then drains the queue (iteratively —
   /// no recursion, so inline pools and deep queues are safe).
@@ -165,10 +192,10 @@ class SessionManager {
   /// Runs one admitted session to completion (no lock held).
   void RunOne(SessionId id);
 
-  /// Marks `id` finished, advances the in-order commit frontier, wakes
-  /// waiters, and either hands back the next queued session id (slot
-  /// reuse) or releases the slot. Fires the finish observer outside the
-  /// lock.
+  /// Marks `id` finished, retires its database, advances the in-order
+  /// commit frontier, wakes waiters, and either hands back the next queued
+  /// session id (slot reuse) or releases the slot. Fires the finish
+  /// observer outside the lock.
   std::optional<SessionId> FinishAndDequeue(SessionId id);
 
   const relational::Database* base_;
@@ -182,7 +209,11 @@ class SessionManager {
   size_t active_ QOCO_GUARDED_BY(mu_) = 0;
   size_t running_ QOCO_GUARDED_BY(mu_) = 0;
   std::deque<SessionId> queued_ QOCO_GUARDED_BY(mu_);
+  /// Sessions admitted and not yet handed over by Wait.
   std::map<SessionId, std::unique_ptr<SessionState>> sessions_
+      QOCO_GUARDED_BY(mu_);
+  /// Databases of finished sessions, waiting for FreeRetired.
+  std::vector<std::unique_ptr<relational::Database>> retired_
       QOCO_GUARDED_BY(mu_);
   relational::EditJournal commit_journal_ QOCO_GUARDED_BY(mu_);
   /// Finished-but-not-yet-committed journals, spliced strictly in id order.

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/cleaning/cleaner.h"
 #include "src/crowd/crowd_panel.h"
 #include "src/crowd/simulated_oracle.h"
@@ -85,6 +90,44 @@ TEST_F(JournalTest, MalformedRecordsRejected) {
   EXPECT_FALSE(ReplayJournal("+\tNope\ta,1\n", db_.get()).ok());
   EXPECT_FALSE(ReplayJournal("+\tR\n", db_.get()).ok());
   EXPECT_FALSE(ReplayJournal("+\tR\ta\n", db_.get()).ok());  // arity
+}
+
+TEST_F(JournalTest, ReplaySucceedsExactlyAtRecordEnds) {
+  // Records whose values hold a quoted newline, a tab and edge spaces, and
+  // a deletion, so a cut can fall inside quotes or drop a committed erase.
+  const std::vector<std::pair<bool, Fact>> edits = {
+      {true, {r_, {Value("two\nlines"), Value(1)}}},
+      {true, {r_, {Value(2), Value("has\ttab")}}},
+      {false, {r_, {Value("two\nlines"), Value(1)}}},
+      {true, {r_, {Value(" spaced "), Value(3)}}},
+      {true, {r_, {Value(4), Value("ends ")}}},
+  };
+  EditJournal journal;
+  std::vector<size_t> ends = {0};
+  std::vector<std::string> states = {DatabaseToCsv(*db_)};
+  Database expected(&catalog_);
+  for (const auto& [insert, fact] : edits) {
+    journal.Append(insert, fact, catalog_);
+    ends.push_back(journal.contents().size());
+    common::Status applied =
+        insert ? expected.Insert(fact).status() : expected.Erase(fact).status();
+    ASSERT_TRUE(applied.ok());
+    states.push_back(DatabaseToCsv(expected));
+  }
+
+  const std::string& contents = journal.contents();
+  for (size_t cut = 0; cut <= contents.size(); ++cut) {
+    Database db(&catalog_);
+    common::Status replayed =
+        ReplayJournal(std::string_view(contents).substr(0, cut), &db);
+    auto end = std::find(ends.begin(), ends.end(), cut);
+    if (end == ends.end()) {
+      EXPECT_FALSE(replayed.ok()) << cut;
+      continue;
+    }
+    ASSERT_TRUE(replayed.ok()) << cut << ": " << replayed.ToString();
+    EXPECT_EQ(DatabaseToCsv(db), states[end - ends.begin()]) << cut;
+  }
 }
 
 TEST_F(JournalTest, RecoverSnapshotPlusJournal) {

@@ -12,7 +12,12 @@
 //    issues exactly one oracle question per distinct signature — at thread
 //    counts 1, 2 and 8;
 //  * admission control, admission that keeps every base value exact,
-//    snapshot isolation and in-order commit.
+//    snapshot isolation and in-order commit;
+//  * bounded state: a finished session's database is freed on the
+//    coordinator, and Wait hands each result over once.
+//
+// One test leaves the harness on purpose: crowd::BlockingOracleAdapter is
+// exercised over a RealtimeClock, the pairing a deployment uses.
 
 #include <gtest/gtest.h>
 
@@ -866,9 +871,157 @@ TEST_F(ServiceTest, SubmitRejectsBadQueriesAndBadSnapshots) {
   ASSERT_FALSE(id.ok());
   EXPECT_EQ(id.status().code(), common::StatusCode::kInvalidArgument);
 
+  // A snapshot three bytes short of the head cuts the last committed
+  // record: replaying it would apply a prefix of a value as if it were whole.
+  auto committed = st.manager.Submit(SpecOf({kQ1}, 1));
+  ASSERT_TRUE(committed.ok());
+  ASSERT_TRUE(st.manager.Wait(*committed).ok());
+  const relational::JournalSnapshot head = st.manager.JournalHead();
+  ASSERT_GT(head.bytes, 3u);
+  SessionSpec cut = SpecOf({kQ1}, 2);
+  cut.base_snapshot = relational::JournalSnapshot{head.bytes - 3};
+  auto cut_id = st.manager.Submit(cut);
+  ASSERT_FALSE(cut_id.ok());
+  EXPECT_EQ(cut_id.status().code(), common::StatusCode::kParseError);
+
   auto missing = st.manager.Wait(999);
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), common::StatusCode::kNotFound);
+}
+
+/// Bounded state over many cycles: the manager holds a private database
+/// only while its session runs, hands each result over once, and every
+/// result still equals its solo run.
+TEST_F(ServiceTest, FinishedSessionsFreeTheirDatabasesAndHandOverOnce) {
+  std::vector<SessionSpec> specs;
+  for (uint64_t i = 0; i < 8; ++i) {
+    specs.push_back(i % 2 == 0 ? SpecOf({kQ1}, 200 + i)
+                               : SpecOf({kQ1, kQ2}, 200 + i));
+  }
+  std::vector<DirectRun> reference;
+  for (const SessionSpec& spec : specs) {
+    crowd::SimulatedOracle oracle(s_->ground_truth.get());
+    reference.push_back(RunDirect(*s_->dirty, spec, &oracle));
+  }
+
+  for (size_t threads : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ServiceStack st(*s_, threads);
+    ScheduleDriver driver(&st.clock);
+    if (threads > 1) {
+      st.oracle.set_script(
+          [](const Question&, size_t) { return OracleBehavior{.latency = 1}; });
+      driver.Attach(&st.broker, &st.manager);
+    }
+    for (size_t cycle = 0; cycle < 10; ++cycle) {
+      SCOPED_TRACE("cycle=" + std::to_string(cycle));
+      if (threads > 1) driver.AddLive(specs.size());
+      std::vector<SessionId> ids;
+      for (SessionSpec spec : specs) {
+        // A fresh dedup scope: every cycle waits on the crowd again.
+        spec.scope = "cycle" + std::to_string(cycle);
+        auto id = st.manager.Submit(std::move(spec));
+        ASSERT_TRUE(id.ok()) << id.status().ToString();
+        ids.push_back(*id);
+        if (threads == 1) {
+          // Inline, the session ran inside Submit, which then freed it.
+          EXPECT_EQ(st.manager.PrivateDatabases(), 0u);
+        }
+      }
+      if (threads > 1) {
+        // No session can finish before the driver lets time pass.
+        EXPECT_EQ(st.manager.PrivateDatabases(), specs.size());
+        ASSERT_TRUE(driver.Drive());
+      }
+
+      for (size_t i = 0; i < ids.size(); ++i) {
+        auto result = st.manager.Wait(ids[i]);
+        ASSERT_TRUE(result.ok());
+        ASSERT_TRUE(result->status.ok()) << result->status.ToString();
+        EXPECT_EQ(result->journal, reference[i].journal) << "session " << i;
+        EXPECT_EQ(result->final_facts_csv, reference[i].facts);
+        EXPECT_EQ(crowd::ToString(result->questions), reference[i].questions);
+      }
+      EXPECT_EQ(st.manager.PrivateDatabases(), 0u);
+      for (SessionId id : ids) {
+        EXPECT_EQ(st.manager.Wait(id).status().code(),
+                  common::StatusCode::kNotFound);
+      }
+    }
+  }
+}
+
+TEST_F(ServiceTest, TwoWaitersOnOneSessionGetTheResultOnce) {
+  SessionSpec spec = SpecOf({kQ1}, 7);
+  crowd::SimulatedOracle reference_oracle(s_->ground_truth.get());
+  DirectRun reference = RunDirect(*s_->dirty, spec, &reference_oracle);
+
+  ServiceStack st(*s_, /*threads=*/2);
+  st.oracle.set_script(
+      [](const Question&, size_t) { return OracleBehavior{.latency = 1}; });
+  ScheduleDriver driver(&st.clock);
+  driver.Attach(&st.broker, &st.manager);
+  driver.AddLive(1);
+  auto id = st.manager.Submit(spec);
+  ASSERT_TRUE(id.ok());
+
+  std::optional<common::Result<SessionResult>> got[2];
+  common::ThreadPool waiters(2);
+  for (auto& slot : got) {
+    auto wait = [&st, &slot, id = *id] { slot.emplace(st.manager.Wait(id)); };
+    ASSERT_TRUE(waiters.Submit(wait).ok());
+  }
+  ASSERT_TRUE(driver.Drive());
+  waiters.Wait();
+
+  ASSERT_TRUE(got[0].has_value() && got[1].has_value());
+  EXPECT_NE(got[0]->ok(), got[1]->ok()) << "exactly one waiter gets it";
+  for (const auto& r : got) {
+    if (!r->ok()) {
+      EXPECT_EQ(r->status().code(), common::StatusCode::kNotFound);
+      continue;
+    }
+    ASSERT_TRUE((*r)->status.ok()) << (*r)->status.ToString();
+    EXPECT_EQ((*r)->journal, reference.journal);
+  }
+  EXPECT_EQ(st.manager.PrivateDatabases(), 0u);
+}
+
+/// crowd::BlockingOracleAdapter in front of the broker, answering inline and
+/// from a dispatch pool, on a RealtimeClock: the session equals its solo
+/// run and asks the crowd each question once.
+TEST_F(ServiceTest, BlockingOracleAdapterSessionMatchesSoloRun) {
+  SessionSpec spec = SpecOf({kQ1, kQ2}, 11);
+  crowd::SimulatedOracle reference_oracle(s_->ground_truth.get());
+  DirectRun reference = RunDirect(*s_->dirty, spec, &reference_oracle);
+
+  for (size_t dispatch_width : {size_t{0}, size_t{2}}) {
+    SCOPED_TRACE("dispatch_width=" + std::to_string(dispatch_width));
+    crowd::SimulatedOracle sim(s_->ground_truth.get());
+    std::unique_ptr<common::ThreadPool> dispatch;
+    if (dispatch_width > 0) {
+      dispatch = std::make_unique<common::ThreadPool>(dispatch_width);
+    }
+    crowd::BlockingOracleAdapter adapter(&sim, dispatch.get());
+    RealtimeClock clock;
+    QuestionBroker broker(&adapter, &clock);
+    common::ThreadPool pool(2);
+    SessionManager manager(s_->dirty.get(), &broker, &pool);
+
+    auto id = manager.Submit(spec);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    auto result = manager.Wait(*id);
+    // The last completion may still be returning through the broker on a
+    // dispatch worker; drain it before the broker goes out of scope.
+    if (dispatch != nullptr) dispatch->Wait();
+    ASSERT_TRUE(result.ok());
+    ASSERT_TRUE(result->status.ok()) << result->status.ToString();
+    EXPECT_EQ(result->journal, reference.journal);
+    EXPECT_EQ(result->final_facts_csv, reference.facts);
+    EXPECT_EQ(crowd::ToString(result->questions), reference.questions);
+    EXPECT_EQ(result->attribution.asked, result->attribution.issued);
+    EXPECT_EQ(broker.stats().oracle_issues, broker.DistinctQuestions());
+  }
 }
 
 TEST_F(ServiceTest, UnionViewsRunThroughTheService) {
