@@ -57,64 +57,40 @@ void BM_SatisfiabilityProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_SatisfiabilityProbe);
 
-// Interning-layer primitives: the per-probe costs the dictionary-encoded
-// storage engine amortizes away. Value-space hashing/compares walk a
-// variant (and string bytes); their id-space twins are integer ops.
+// Interning-layer primitives: hashing and comparing in id space are
+// integer ops over the dictionary-encoded storage.
 void BM_ValueHash(benchmark::State& state) {
   const workload::SoccerData& data = Soccer();
-  std::vector<relational::Value> values =
-      data.ground_truth->relation(0).ColumnDomain(0);
   std::vector<relational::ValueId> ids;
-  for (const relational::Value& v : values) {
+  for (const relational::Value& v :
+       data.ground_truth->relation(0).ColumnDomain(0)) {
     ids.push_back(*data.ground_truth->dict().Find(v));
   }
-  if (state.range(0) == 0) {
-    for (auto _ : state) {
-      size_t h = 0;
-      for (const relational::Value& v : values) h ^= v.Hash();
-      benchmark::DoNotOptimize(h);
-    }
-  } else {
-    for (auto _ : state) {
-      size_t h = 0;
-      for (relational::ValueId id : ids) h ^= relational::HashValueId(id);
-      benchmark::DoNotOptimize(h);
-    }
+  for (auto _ : state) {
+    size_t h = 0;
+    for (relational::ValueId id : ids) h ^= relational::HashValueId(id);
+    benchmark::DoNotOptimize(h);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(values.size()));
+                          static_cast<int64_t>(ids.size()));
 }
-BENCHMARK(BM_ValueHash)->Arg(0)->Arg(1);  // 0 = Value, 1 = ValueId
+BENCHMARK(BM_ValueHash);
 
 void BM_TupleCompare(benchmark::State& state) {
   const workload::SoccerData& data = Soccer();
-  const relational::Relation& rel = data.ground_truth->relation(0);
-  const std::vector<relational::ITuple>& rows = rel.rows();
-  std::vector<relational::Tuple> tuples;
-  for (const relational::ITuple& t : rows) {
-    tuples.push_back(relational::MaterializeTuple(t, data.ground_truth->dict()));
-  }
-  if (state.range(0) == 0) {
-    for (auto _ : state) {
-      size_t equal = 0;
-      for (size_t i = 1; i < tuples.size(); ++i) {
-        equal += tuples[i - 1] == tuples[i];
-      }
-      benchmark::DoNotOptimize(equal);
+  const std::vector<relational::ITuple>& rows =
+      data.ground_truth->relation(0).rows();
+  for (auto _ : state) {
+    size_t equal = 0;
+    for (size_t i = 1; i < rows.size(); ++i) {
+      equal += rows[i - 1] == rows[i];
     }
-  } else {
-    for (auto _ : state) {
-      size_t equal = 0;
-      for (size_t i = 1; i < rows.size(); ++i) {
-        equal += rows[i - 1] == rows[i];
-      }
-      benchmark::DoNotOptimize(equal);
-    }
+    benchmark::DoNotOptimize(equal);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(rows.size() - 1));
 }
-BENCHMARK(BM_TupleCompare)->Arg(0)->Arg(1);  // 0 = Tuple, 1 = ITuple
+BENCHMARK(BM_TupleCompare);
 
 void BM_InternProbe(benchmark::State& state) {
   // Heterogeneous FindString: the hot boundary probe (parser literals,
@@ -215,11 +191,9 @@ void BM_WhyNotAnalyze(benchmark::State& state) {
 BENCHMARK(BM_WhyNotAnalyze);
 
 // Per-edit view refresh: Algorithm 4 applies one edit per oracle round and
-// then re-reads Q(D). These two benchmarks run the same edit script —
-// `range(0)` edits alternating erase / re-insert of query-relevant facts,
-// leaving the database unchanged at the end of each iteration — and differ
-// only in how the view is refreshed: from scratch with Evaluator::Evaluate
-// (the pre-incremental behaviour) vs. delta-maintained by IncrementalView.
+// then re-reads Q(D). The edit script is `range(0)` edits alternating
+// erase / re-insert of query-relevant facts, leaving the database unchanged
+// at the end of each iteration; IncrementalView applies each as a delta.
 std::vector<relational::Fact> EditScript(const query::CQuery& q,
                                          const relational::Database& db,
                                          size_t count, uint64_t seed) {
@@ -241,29 +215,6 @@ std::vector<relational::Fact> EditScript(const query::CQuery& q,
   }
   return script;
 }
-
-void BM_FullReevalEditLoop(benchmark::State& state) {
-  const workload::SoccerData& data = Soccer();
-  auto q = workload::SoccerQuery(3, *data.catalog);
-  size_t num_edits = static_cast<size_t>(state.range(0));
-  relational::Database db = *data.ground_truth;
-  std::vector<relational::Fact> script = EditScript(*q, db, num_edits / 2, 7);
-  query::Evaluator evaluator(&db);
-  size_t answers = 0;
-  for (auto _ : state) {
-    for (const relational::Fact& f : script) {
-      (void)db.Erase(f);
-      answers = evaluator.Evaluate(*q).size();
-      benchmark::DoNotOptimize(answers);
-      (void)db.Insert(f);
-      answers = evaluator.Evaluate(*q).size();
-      benchmark::DoNotOptimize(answers);
-    }
-  }
-  state.counters["answers"] = static_cast<double>(answers);
-  state.counters["edits"] = static_cast<double>(script.size() * 2);
-}
-BENCHMARK(BM_FullReevalEditLoop)->Arg(100)->Unit(benchmark::kMillisecond);
 
 void BM_IncrementalEditLoop(benchmark::State& state) {
   const workload::SoccerData& data = Soccer();

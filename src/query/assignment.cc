@@ -66,9 +66,10 @@ std::optional<relational::IFact> Assignment::GroundAtomIds(
 std::optional<bool> Assignment::CheckInequality(const Inequality& ineq) const {
   // Inequalities are ≠ only (query.h), so id comparison decides: equal ids
   // are equal values, and distinct ids are distinct values. A constant that
-  // was never interned (kAbsentConstant) differs from every bound value;
-  // the grammar puts a variable on the lhs, so both sides can never be
-  // absent constants at once.
+  // was never interned (kAbsentConstant) differs from every bound value.
+  // Two different absent constants would share that id, so two different
+  // constants are decided as Values first.
+  if (ineq.DistinctConstants()) return true;
   ValueId lhs = ResolveId(ineq.lhs);
   ValueId rhs = ResolveId(ineq.rhs);
   if (lhs == kInvalidId || rhs == kInvalidId) return std::nullopt;

@@ -97,8 +97,9 @@ class Assignment {
   std::optional<relational::IFact> GroundAtomIds(const Atom& atom) const;
 
   /// Evaluates an inequality under this assignment: true/false if both
-  /// sides resolve, nullopt otherwise. Pure id compares (the paper's
-  /// inequalities are ≠ only, and id equality is value equality).
+  /// sides resolve, nullopt otherwise. Id compares (the paper's
+  /// inequalities are ≠ only, and id equality is value equality), except
+  /// between two constants, which compare as Values.
   std::optional<bool> CheckInequality(const Inequality& ineq) const;
 
   /// Applies the assignment to head terms, producing the answer tuple;

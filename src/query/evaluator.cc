@@ -30,18 +30,16 @@ struct CompiledTerm {
 };
 
 /// Backtracking join state over interned rows. With a non-null `plan`
-/// (built by the Planner), the root expansion
-/// follows the plan's candidate list, unification prunes through the
-/// plan's allowed-id sets, and — for strict-order plans — the expansion
-/// order is the plan's; otherwise every level picks the most constrained
-/// pending atom adaptively, exactly like the pre-planner engine.
+/// (built by the Planner), the root expansion follows the plan's candidate
+/// list and unification prunes through the plan's allowed-id sets. Every
+/// other level, and the root of an unplanned search, picks the most
+/// constrained pending atom adaptively.
 class Search {
  public:
   Search(const CQuery& q, const Database& db, Assignment binding,
          size_t limit, std::vector<Assignment>* out,
          const Plan* plan = nullptr)
       : q_(q),
-        db_(db),
         binding_(std::move(binding)),
         limit_(limit),
         out_(out),
@@ -67,28 +65,28 @@ class Search {
     }
     ineqs_.reserve(q.inequalities().size());
     for (const Inequality& ineq : q.inequalities()) {
+      if (ineq.DistinctConstants()) continue;  // Holds under every binding.
       ineqs_.push_back({Compile(ineq.lhs, dict), Compile(ineq.rhs, dict)});
     }
   }
 
+  /// Without a plan, searches adaptively from the root. With one, scans
+  /// the plan's (possibly semi-join-filtered) root candidates; the plan
+  /// must be built against this database state and binding, and be
+  /// neither infeasible nor trivial.
   void Run() {
     if (!InequalitiesHold()) return;
-    Recurse(q_.atoms().size());
-  }
-
-  /// Expands the Planner-built plan's root atom over candidate rows
-  /// [begin, end) of its (possibly semi-join-filtered) candidate list,
-  /// recursing below the root per the plan's order contract. Precondition:
-  /// plan_ != nullptr, the plan was built against this database state and
-  /// binding, and it is neither infeasible nor trivial.
-  void RunPlannedRange(size_t begin, size_t end) {
-    const Plan& plan = *plan_;
-    const size_t root = plan.steps[0].atom;
+    const size_t remaining = q_.atoms().size();
+    if (plan_ == nullptr) {
+      Recurse(remaining);
+      return;
+    }
+    const size_t root = plan_->steps[0].atom;
     const Relation& rel = *atom_rel_[root];
     atom_done_[root] = true;
-    const size_t remaining = q_.atoms().size();
-    for (size_t i = begin; i < end && !Done(); ++i) {
-      TryRow(root, rel.rows()[plan.RootCandidateAt(i)], remaining);
+    const size_t candidates = plan_->RootCandidateCount();
+    for (size_t i = 0; i < candidates && !Done(); ++i) {
+      TryRow(root, rel.rows()[plan_->RootCandidateAt(i)], remaining);
     }
     atom_done_[root] = false;
   }
@@ -118,8 +116,9 @@ class Search {
 
   /// Checks every inequality whose both sides currently resolve. Pure id
   /// compares: the paper's inequalities are ≠ only, id equality is value
-  /// equality, and kAbsentConstant differs from every stored id (the
-  /// grammar never puts constants on both sides).
+  /// equality, and kAbsentConstant differs from every stored id. Two
+  /// absent constants would compare equal, but the constructor drops every
+  /// inequality between two different constants.
   bool InequalitiesHold() const {
     for (const auto& [lhs, rhs] : ineqs_) {
       ValueId a = ResolveCompiled(lhs);
@@ -200,16 +199,7 @@ class Search {
       return;
     }
     AtomScore best_score;
-    size_t best;
-    if (plan_ != nullptr && plan_->strict_order) {
-      // Strict plans (parse-order mode) pin the expansion order; the probe
-      // column within the atom is still the most selective bound one.
-      best = plan_->steps[q_.atoms().size() - remaining].atom;
-      best_score = ScoreAtom(best);
-    } else {
-      best = PickBestAtom(&best_score);
-    }
-
+    const size_t best = PickBestAtom(&best_score);
     const Relation& rel = *atom_rel_[best];
     atom_done_[best] = true;
 
@@ -269,7 +259,6 @@ class Search {
   }
 
   const CQuery& q_;
-  const Database& db_;
   Assignment binding_;
   size_t limit_;
   std::vector<Assignment>* out_;
@@ -441,41 +430,32 @@ std::vector<Assignment> Evaluator::FindExtensions(const CQuery& q,
     binding = std::move(widened);
   }
 
-  // Planned evaluation: unlimited searches run under an explicit Plan
-  // (cost-based root + semi-join reduction, or the strict parse-order
-  // plan). Limited searches always take the adaptive engine below — *which*
-  // extension a bounded search finds first leaks into crowd questions, so
-  // their enumeration order is part of the transcript contract.
-  if (mode_ != EvalMode::kLegacyGreedy && limit == 0) {
-    Planner planner(db_, &stats_);
-    const Plan plan = planner.MakePlan(q, binding, mode_);
-    if (plan.infeasible) return out;
-    if (plan.trivial) {
-      out.push_back(std::move(binding));
-      return out;
-    }
-    Search search(q, *db_, std::move(binding), /*limit=*/0, &out, &plan);
-    search.RunPlannedRange(0, plan.RootCandidateCount());
+  // Limited searches pick their root adaptively: *which* extension a
+  // bounded search finds first leaks into crowd questions, so their
+  // enumeration order is part of the transcript contract. Unlimited ones
+  // run under a cost-based Plan (root by exact count, semi-join reduction).
+  if (limit != 0) {
+    Search search(q, *db_, std::move(binding), limit, &out);
+    search.Run();
     return out;
   }
-
-  Search search(q, *db_, std::move(binding), limit, &out);
+  Planner planner(db_, &stats_);
+  const Plan plan = planner.MakePlan(q, binding);
+  if (plan.infeasible) return out;
+  if (plan.trivial) {
+    out.push_back(std::move(binding));
+    return out;
+  }
+  Search search(q, *db_, std::move(binding), /*limit=*/0, &out, &plan);
   search.Run();
   return out;
 }
 
 std::string Evaluator::ExplainPlan(const CQuery& q) const {
-  // kLegacyGreedy never consults a plan at run time; EXPLAIN still shows
-  // what the cost-based planner would do so the dump stays informative
-  // (the header names the actual engine).
-  const EvalMode planned =
-      mode_ == EvalMode::kLegacyGreedy ? EvalMode::kCostBased : mode_;
   Planner planner(db_, &stats_);
   Plan plan = planner.MakePlan(q, Assignment(q.num_vars(), &db_->dict()),
-                               planned, /*force_predict=*/true);
-  std::string out = "EXPLAIN (";
-  out += EvalModeName(mode_);
-  out += ") ";
+                               /*predict_suffix=*/true);
+  std::string out = "EXPLAIN ";
   out += q.ToString(db_->catalog());
   out += "\n";
   out += plan.DebugString(q, db_->catalog());

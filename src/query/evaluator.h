@@ -66,13 +66,12 @@ class EvalResult {
 
 /// Evaluates conjunctive queries with inequalities over a Database using an
 /// index-backed backtracking join. Unlimited searches run under an explicit
-/// cost-based Plan by default (see Planner): the planner picks the root
-/// atom by exact candidate counts, pre-filters the root scan with a
-/// semi-join reduction, and prunes unification through per-variable
-/// allowed-id sets; expansion below the root adapts over exact index
-/// counts (most bound positions, then fewest candidates). Limited searches
-/// and EvalMode::kLegacyGreedy run the pre-planner adaptive engine
-/// unchanged. Inequalities are checked as soon as both sides are
+/// cost-based Plan (see Planner): the planner picks the root atom by exact
+/// candidate counts, pre-filters the root scan with a semi-join reduction,
+/// and prunes unification through per-variable allowed-id sets. Limited
+/// searches pick their root adaptively. Below the root, every search
+/// adapts over exact index counts (most bound positions, then fewest
+/// candidates). Inequalities are checked as soon as both sides are
 /// resolvable.
 class Evaluator {
  public:
@@ -82,19 +81,13 @@ class Evaluator {
   /// moved).
   explicit Evaluator(const relational::Database* db) : db_(db), stats_(db) {}
 
-  /// Selects the join-order engine for unlimited searches (see EvalMode;
-  /// limited searches always use the legacy engine). Default: kCostBased.
-  void set_mode(EvalMode mode) { mode_ = mode; }
-  EvalMode mode() const { return mode_; }
-
   /// The lazily maintained statistics plans derive from; exposed for
   /// audits and tests (single-threaded reads only, like evaluation).
   const ColumnStats& stats() const { return stats_; }
 
   /// EXPLAIN: the plan an unlimited evaluation of Q (from the empty
-  /// binding) would run, rendered via Plan::DebugString. Always includes
-  /// the predicted suffix and estimates; with mode() == kLegacyGreedy the
-  /// dump is advisory (the legacy engine orders adaptively at run time).
+  /// binding) would run, rendered via Plan::DebugString, with the
+  /// predicted suffix and its estimates.
   std::string ExplainPlan(const CQuery& q) const;
 
   /// The database this evaluator reads (callers constructing partial
@@ -128,7 +121,6 @@ class Evaluator {
 
  private:
   const relational::Database* db_;
-  EvalMode mode_ = EvalMode::kCostBased;
   // Lazily refreshed while planning; mutable for the same build-on-demand
   // reason as Relation's indexes.
   mutable ColumnStats stats_;

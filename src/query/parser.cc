@@ -24,6 +24,7 @@ enum class TokenKind {
   kImplies,   // :-
   kNotEqual,  // != or <>
   kPeriod,
+  kSemicolon,  // Separates the disjuncts of a union query.
   kEnd,
 };
 
@@ -46,6 +47,7 @@ class Lexer {
     if (c == ')') return Simple(TokenKind::kRParen);
     if (c == ',') return Simple(TokenKind::kComma);
     if (c == '.') return Simple(TokenKind::kPeriod);
+    if (c == ';') return Simple(TokenKind::kSemicolon);
     if (c == ':' && Peek(1) == '-') {
       pos_ += 2;
       return Token{TokenKind::kImplies, ":-", start};
@@ -308,12 +310,24 @@ common::Result<CQuery> ParseQuery(std::string_view text,
 
 common::Result<UnionQuery> ParseUnionQuery(
     std::string_view text, const relational::Catalog& catalog) {
+  // The lexer finds the ';' separators, so a quoted ';' stays inside its
+  // constant.
   std::vector<CQuery> disjuncts;
-  for (const std::string& piece : common::Split(text, ';')) {
-    std::string_view stripped = common::StripWhitespace(piece);
-    if (stripped.empty()) continue;
-    QOCO_ASSIGN_OR_RETURN(CQuery q, ParseQuery(stripped, catalog));
-    disjuncts.push_back(std::move(q));
+  Lexer lexer(text);
+  size_t begin = 0;
+  while (true) {
+    QOCO_ASSIGN_OR_RETURN(Token token, lexer.Next());
+    if (token.kind != TokenKind::kSemicolon && token.kind != TokenKind::kEnd) {
+      continue;
+    }
+    std::string_view piece =
+        common::StripWhitespace(text.substr(begin, token.offset - begin));
+    if (!piece.empty()) {
+      QOCO_ASSIGN_OR_RETURN(CQuery q, ParseQuery(piece, catalog));
+      disjuncts.push_back(std::move(q));
+    }
+    if (token.kind == TokenKind::kEnd) break;
+    begin = token.offset + 1;
   }
   return UnionQuery::Make(std::move(disjuncts));
 }

@@ -25,7 +25,8 @@ namespace qoco::query {
 common::Result<CQuery> ParseQuery(std::string_view text,
                                   const relational::Catalog& catalog);
 
-/// Parses a union of conjunctive queries: disjuncts separated by ';'.
+/// Parses a union of conjunctive queries: disjuncts separated by ';',
+/// empty ones skipped. A ';' inside a quoted constant separates nothing.
 common::Result<UnionQuery> ParseUnionQuery(std::string_view text,
                                            const relational::Catalog& catalog);
 

@@ -4,7 +4,6 @@
 #include <optional>
 #include <sstream>
 
-#include "src/common/check.h"
 #include "src/relational/id_posting_map.h"
 #include "src/relational/value_id.h"
 
@@ -16,12 +15,6 @@ using relational::kAbsentConstant;
 using relational::kInvalidId;
 using relational::Relation;
 using relational::ValueId;
-
-/// Searches shorter than this skip suffix prediction: the whole search
-/// visits a handful of rows, so estimating its join order costs more than
-/// running it (and the executor's adaptive suffix ignores the prediction
-/// anyway). EXPLAIN always predicts.
-constexpr size_t kMinRootCandidatesForPrediction = 8;
 
 /// Semi-join reduction only pays for itself on scans long enough that
 /// intersecting column domains is cheaper than visiting doomed candidates.
@@ -36,7 +29,7 @@ constexpr size_t kMinRootCandidatesForSemiJoin = 32;
 constexpr size_t kMinSemiJoinShrink = 2;
 
 /// Exact scoring of one atom under the initial binding: the same numbers
-/// the legacy engine's ScoreAtom computes at the root, plus the
+/// the adaptive engine's ScoreAtom computes at the root, plus the
 /// fully-resolved refinement (set semantics: at most one stored row can
 /// equal a ground atom, so its true output is <= 1 whatever its posting
 /// lists say).
@@ -53,24 +46,9 @@ struct RootScore {
 
 }  // namespace
 
-const char* EvalModeName(EvalMode mode) {
-  switch (mode) {
-    case EvalMode::kCostBased:
-      return "cost-based";
-    case EvalMode::kLegacyGreedy:
-      return "legacy-greedy";
-    case EvalMode::kParseOrder:
-      return "parse-order";
-  }
-  return "unknown";
-}
-
 Plan Planner::MakePlan(const CQuery& q, const Assignment& binding,
-                       EvalMode mode, bool force_predict) const {
-  QOCO_DCHECK(mode != EvalMode::kLegacyGreedy)
-      << "the legacy engine never consults a plan";
+                       bool predict_suffix) const {
   Plan plan;
-  plan.strict_order = mode == EvalMode::kParseOrder;
   const relational::ValueDictionary& dict = db_->dict();
   const std::vector<Atom>& atoms = q.atoms();
 
@@ -87,6 +65,7 @@ Plan Planner::MakePlan(const CQuery& q, const Assignment& binding,
 
   // A fully-resolved inequality that fails makes every extension invalid.
   for (const Inequality& ineq : q.inequalities()) {
+    if (ineq.DistinctConstants()) continue;  // Holds under every binding.
     ValueId a = resolve(ineq.lhs);
     ValueId b = resolve(ineq.rhs);
     if (a != kInvalidId && b != kInvalidId && a == b) {
@@ -99,7 +78,7 @@ Plan Planner::MakePlan(const CQuery& q, const Assignment& binding,
     return plan;
   }
 
-  // Exact root scoring. Probe-column selection replicates the legacy rule
+  // Exact root scoring. Probe-column selection replicates the adaptive rule
   // (first strictly-smaller posting wins, scanning columns left to right)
   // so the candidate iteration order of the chosen root is the one the
   // adaptive engine would produce.
@@ -137,20 +116,18 @@ Plan Planner::MakePlan(const CQuery& q, const Assignment& binding,
   // Root: smallest exact estimate, then most resolved positions, then the
   // earliest atom — a total, documented order, so plans are deterministic.
   size_t root = 0;
-  if (mode == EvalMode::kCostBased) {
-    for (size_t i = 1; i < atoms.size(); ++i) {
-      const RootScore& a = scores[i];
-      const RootScore& b = scores[root];
-      bool better;
-      if (a.est != b.est) {
-        better = a.est < b.est;
-      } else if (a.bound != b.bound) {
-        better = a.bound > b.bound;
-      } else {
-        better = false;  // Earlier index wins ties.
-      }
-      if (better) root = i;
+  for (size_t i = 1; i < atoms.size(); ++i) {
+    const RootScore& a = scores[i];
+    const RootScore& b = scores[root];
+    bool better;
+    if (a.est != b.est) {
+      better = a.est < b.est;
+    } else if (a.bound != b.bound) {
+      better = a.bound > b.bound;
+    } else {
+      better = false;  // Earlier index wins ties.
     }
+    if (better) root = i;
   }
   const RootScore& rs = scores[root];
   const Relation& root_rel = db_->relation(atoms[root].relation);
@@ -170,10 +147,8 @@ Plan Planner::MakePlan(const CQuery& q, const Assignment& binding,
   // pruning a subtree this way only ever discards zero-output work, so the
   // surviving enumeration is the identical subsequence — order-preserving
   // by construction.
-  const bool run_semijoin =
-      mode == EvalMode::kCostBased && atoms.size() >= 2 &&
-      plan.RootCandidateCount() >= kMinRootCandidatesForSemiJoin;
-  if (run_semijoin) {
+  if (atoms.size() >= 2 &&
+      plan.RootCandidateCount() >= kMinRootCandidatesForSemiJoin) {
     plan.semijoin = true;
     std::vector<std::vector<std::pair<size_t, size_t>>> slots(q.num_vars());
     for (size_t i = 0; i < atoms.size(); ++i) {
@@ -246,15 +221,14 @@ Plan Planner::MakePlan(const CQuery& q, const Assignment& binding,
     }
   }
 
-  // Predicted suffix: greedy over (connected, estimate, bound positions,
-  // index). Exact posting probes for ids known now; the column's average
-  // posting length (ColumnStats) for variables the prefix will have bound
-  // by then. The executor's adaptive suffix re-ranks with exact counts at
-  // run time; this prediction is what EXPLAIN shows and what strict-order
-  // execution (parse-order mode) follows.
-  plan.steps.reserve(atoms.size());
-  plan.steps.push_back(
-      {root, rs.est, rs.bound, /*connected=*/false});
+  plan.steps.push_back({root, rs.est, rs.bound, /*connected=*/false});
+  if (!predict_suffix) return plan;
+
+  // Predicted suffix, for EXPLAIN only: greedy over (connected, estimate,
+  // bound positions, index). Exact posting probes for ids known now; the
+  // column's average posting length (ColumnStats) for variables the prefix
+  // will have bound by then. The executor re-ranks with exact counts at
+  // run time instead.
   std::vector<bool> done(atoms.size(), false);
   done[root] = true;
   std::vector<bool> var_in_prefix(q.num_vars(), false);
@@ -265,10 +239,6 @@ Plan Planner::MakePlan(const CQuery& q, const Assignment& binding,
   };
   absorb_atom_vars(root);
 
-  const bool predict =
-      force_predict ||
-      (mode == EvalMode::kCostBased &&
-       plan.RootCandidateCount() >= kMinRootCandidatesForPrediction);
   // Estimates one pending atom against the current prefix: exact posting
   // probes for ids known now, the column's average posting length for
   // variables the prefix will have bound, full row count otherwise.
@@ -298,18 +268,11 @@ Plan Planner::MakePlan(const CQuery& q, const Assignment& binding,
     if (fully) step.est = std::min(step.est, 1.0);
     return step;
   };
-  const bool rank = mode == EvalMode::kCostBased && predict;
   while (plan.steps.size() < atoms.size()) {
     size_t best = atoms.size();
     PlanStep best_step;
     for (size_t i = 0; i < atoms.size(); ++i) {
       if (done[i]) continue;
-      if (!rank) {
-        // Written order (or unpredicted tiny search): first pending atom.
-        best = i;
-        best_step = predict ? estimate_step(i) : PlanStep{i, 0.0, 0, false};
-        break;
-      }
       PlanStep step = estimate_step(i);
       bool better;
       if (best == atoms.size()) {
@@ -367,7 +330,7 @@ std::string Plan::DebugString(const CQuery& q,
     return out.str();
   }
   out << "plan: " << steps.size() << " atom" << (steps.size() == 1 ? "" : "s")
-      << ", " << (strict_order ? "strict order" : "adaptive suffix") << "\n";
+      << ", adaptive suffix\n";
   for (size_t i = 0; i < steps.size(); ++i) {
     const PlanStep& s = steps[i];
     out << "  " << (i + 1) << ". " << RenderAtom(q.atoms()[s.atom], q, catalog)

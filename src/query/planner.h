@@ -12,30 +12,6 @@
 
 namespace qoco::query {
 
-/// Which join-order engine Evaluator uses for unlimited searches. Limited
-/// searches (limit != 0 — satisfiability probes and the bounded extension
-/// counts of Algorithm 2) always run the legacy adaptive engine: *which*
-/// extension a bounded search finds first leaks into crowd questions, so
-/// their enumeration order is part of the transcript contract.
-enum class EvalMode {
-  /// Cost-based plan: the planner picks the root atom by estimated output
-  /// cardinality and pre-filters candidates with a semi-join reduction;
-  /// below the root, expansion adapts over exact index counts (see
-  /// DESIGN.md §Query planning for why the suffix stays adaptive).
-  kCostBased,
-  /// The pre-planner engine, byte-for-byte: per-node adaptive greedy
-  /// (most bound positions, then fewest candidates). Limited searches
-  /// always run it; for unlimited ones it is the reference the planner
-  /// tests and benchmarks compare against.
-  kLegacyGreedy,
-  /// Atoms expand in the order the query was written, no reduction — the
-  /// naive reference the equivalence fuzz and the adversarial-order
-  /// benchmark compare against.
-  kParseOrder,
-};
-
-const char* EvalModeName(EvalMode mode);
-
 /// One entry of a plan's predicted expansion order.
 struct PlanStep {
   size_t atom = 0;             // Index into q.atoms().
@@ -45,8 +21,8 @@ struct PlanStep {
 };
 
 /// An explicit evaluation plan: the root atom with its materialized (and
-/// possibly semi-join-reduced) candidate list, the predicted expansion
-/// order for the remaining atoms, and per-variable allowed-id sets. Plans
+/// possibly semi-join-reduced) candidate list, per-variable allowed-id
+/// sets, and for EXPLAIN the predicted order of the other atoms. Plans
 /// are a pure function of the query, the initial binding, and the stats
 /// snapshot, so identical inputs produce identical plans (the determinism
 /// contract).
@@ -60,12 +36,11 @@ struct Plan {
   /// No atoms: the initial binding itself is the only extension.
   bool trivial = false;
 
-  /// Expansion order; steps[0] is the root. With `strict_order` the
-  /// executor follows this order exactly (kParseOrder); otherwise steps
-  /// beyond the root are the zero-information prediction shown by EXPLAIN
-  /// and the executor re-ranks at each node with exact index counts.
+  /// steps[0] is the root, the only step the executor reads: below it,
+  /// expansion re-ranks at each node over exact index counts. Only plans
+  /// made with `predict_suffix` carry the remaining steps, the
+  /// zero-information prediction EXPLAIN shows.
   std::vector<PlanStep> steps;
-  bool strict_order = false;
 
   /// Root candidate rows, in the exact order the scan visits them. Three
   /// representations, cheapest first: the implicit range [0, root_num_rows)
@@ -124,7 +99,7 @@ struct Plan {
 /// most one row (set semantics: at most one stored row can equal it), and
 /// an unresolved atom costs its full row count. Ties prefer more resolved
 /// positions, then the earlier atom — documented, deterministic, and
-/// coinciding with the legacy engine's choice whenever the legacy
+/// coinciding with the adaptive engine's choice whenever its
 /// most-bound-first rule is also cardinality-optimal.
 ///
 /// Suffix prediction ranks the remaining atoms by (connected to the prefix
@@ -138,13 +113,10 @@ class Planner {
   Planner(const relational::Database* db, const ColumnStats* stats)
       : db_(db), stats_(stats) {}
 
-  /// Plans Q under `binding`. `mode` must not be kLegacyGreedy (the legacy
-  /// engine never consults a plan). Suffix prediction is skipped for scans
-  /// too short to amortize it (the adaptive executor ignores the
-  /// prediction anyway); `force_predict` overrides that for EXPLAIN, which
-  /// always wants the estimates.
-  Plan MakePlan(const CQuery& q, const Assignment& binding, EvalMode mode,
-                bool force_predict = false) const;
+  /// Plans Q under `binding`. The executor reads only the root, so the
+  /// suffix is predicted only with `predict_suffix` (EXPLAIN).
+  Plan MakePlan(const CQuery& q, const Assignment& binding,
+                bool predict_suffix = false) const;
 
  private:
   const relational::Database* db_;

@@ -21,11 +21,22 @@ struct Atom {
   }
 };
 
-/// An inequality atom lj != lk where lj is a variable and lk is a variable
-/// or a constant (the paper's E_i expressions).
+/// An inequality atom lj != lk (the paper's E_i expressions). Either side
+/// may be a variable or a constant: the grammar accepts two constants, and
+/// InstantiateAnswer produces them from an inequality between two head
+/// variables.
 struct Inequality {
   Term lhs;
   Term rhs;
+
+  /// True iff both sides are constants with different values, so the
+  /// inequality holds under every binding. Id-space checks skip such an
+  /// inequality: they resolve every constant missing from the dictionary
+  /// to the one kAbsentConstant, so two different ones would compare equal.
+  bool DistinctConstants() const {
+    return lhs.is_constant() && rhs.is_constant() &&
+           lhs.constant() != rhs.constant();
+  }
 
   friend bool operator==(const Inequality& a, const Inequality& b) {
     return a.lhs == b.lhs && a.rhs == b.rhs;

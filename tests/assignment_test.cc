@@ -76,6 +76,14 @@ TEST_F(AssignmentTest, InequalityThreeValued) {
   EXPECT_EQ(a.CheckInequality(var_const), std::optional<bool>(false));
   a.Bind(1, Value("d"));
   EXPECT_EQ(a.CheckInequality(var_var), std::optional<bool>(true));
+  // Two constants decide without a binding, even when neither is interned
+  // (both would resolve to the one absent-constant id).
+  const Inequality distinct{Term::MakeConst(Value("never1")),
+                            Term::MakeConst(Value("never2"))};
+  const Inequality same{Term::MakeConst(Value("never1")),
+                        Term::MakeConst(Value("never1"))};
+  EXPECT_EQ(a.CheckInequality(distinct), std::optional<bool>(true));
+  EXPECT_EQ(a.CheckInequality(same), std::optional<bool>(false));
 }
 
 TEST_F(AssignmentTest, ApplyHead) {

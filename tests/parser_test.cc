@@ -110,6 +110,13 @@ TEST_F(ParserTest, UnionQueryParsing) {
       "(x) :- Teams(x, 'EU'); (x) :- Teams(x, 'SA').", catalog_);
   ASSERT_TRUE(u.ok()) << u.status().ToString();
   EXPECT_EQ(u->disjuncts().size(), 2u);
+  // A quoted ';' belongs to its constant; empty disjuncts are skipped.
+  auto quoted = ParseUnionQuery(
+      "(x) :- Teams(x, 'a;b'); ; (x) :- Teams(x, 'EU').", catalog_);
+  ASSERT_TRUE(quoted.ok()) << quoted.status().ToString();
+  ASSERT_EQ(quoted->disjuncts().size(), 2u);
+  EXPECT_EQ(quoted->disjuncts()[0].atoms()[0].terms[1].constant(),
+            Value("a;b"));
 }
 
 TEST_F(ParserTest, UnionQueryRejectsMixedArity) {

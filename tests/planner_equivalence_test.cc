@@ -1,21 +1,20 @@
 // Equivalence fuzz for the cost-based planner: across the figure-one /
-// soccer / dbgroup workloads and random edit sequences, the three
-// join-order engines (cost-based plan with semi-join reduction, strict
-// parse-order plan, and the pre-planner legacy greedy) must compute the
-// same answers with the same witness sets and the same valid-assignment
-// sets — the planner may only reorder work, never change what is found.
+// soccer / dbgroup workloads and random edit sequences, planned evaluation
+// (cost-based root with semi-join reduction) must compute the same answers
+// with the same witness sets and the same valid-assignment sets as the
+// unplanned adaptive search that every limited probe runs — the planner
+// may only reorder work, never change what is found.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/query/evaluator.h"
-#include "src/query/planner.h"
 #include "src/relational/database.h"
 #include "src/workload/dbgroup.h"
 #include "src/workload/figure_one.h"
@@ -27,56 +26,37 @@ namespace {
 
 using relational::Database;
 using relational::Fact;
-using relational::Tuple;
 
-/// The full semantic content of an evaluation, mode-independent: answers
-/// mapped to their witness sets (sorted fact lists) and assignment sets
-/// (rendered, sorted). Discovery order is deliberately erased — the modes
-/// are free to enumerate differently, but never to find different things.
-struct CanonicalResult {
-  std::map<Tuple, std::set<std::vector<Fact>>> witnesses;
-  std::map<Tuple, std::set<std::string>> assignments;
+/// FindExtensions runs the unplanned engine whenever a limit is set; the
+/// largest limit lets it run to completion.
+constexpr size_t kUnplanned = std::numeric_limits<size_t>::max();
 
-  bool operator==(const CanonicalResult&) const = default;
-};
-
-CanonicalResult Canonicalize(const query::CQuery& q, const Database& db,
-                             query::EvalMode mode) {
-  query::Evaluator eval(&db);
-  eval.set_mode(mode);
-  query::EvalResult result = eval.Evaluate(q);
-  CanonicalResult out;
-  for (const query::AnswerInfo& info : result.answers()) {
-    auto& wit = out.witnesses[info.tuple];
-    for (const provenance::Witness& w : info.witnesses) {
-      std::vector<Fact> facts = w.MaterializeFacts();
-      std::sort(facts.begin(), facts.end());
-      wit.insert(std::move(facts));
-    }
-    auto& asg = out.assignments[info.tuple];
-    for (const query::Assignment& a : info.assignments) {
-      asg.insert(a.ToString(q));
-    }
+/// The valid assignments extending `partial`, rendered and sorted. A
+/// witness and an answer are functions of the assignment, so equal sets
+/// mean equal answers and witness sets. Discovery order is deliberately
+/// erased — the two engines are free to enumerate differently, but never
+/// to find different things.
+std::set<std::string> Extensions(const query::CQuery& q, const Database& db,
+                                 const query::Assignment& partial,
+                                 size_t limit) {
+  std::set<std::string> out;
+  for (const query::Assignment& a :
+       query::Evaluator(&db).FindExtensions(q, partial, limit)) {
+    out.insert(a.ToString(q));
   }
   return out;
 }
 
-void ExpectModesAgree(const query::CQuery& q, const Database& db,
-                      const std::string& context) {
-  const CanonicalResult cost_based =
-      Canonicalize(q, db, query::EvalMode::kCostBased);
-  const CanonicalResult legacy =
-      Canonicalize(q, db, query::EvalMode::kLegacyGreedy);
-  const CanonicalResult parse_order =
-      Canonicalize(q, db, query::EvalMode::kParseOrder);
-  EXPECT_EQ(cost_based == legacy, true)
-      << context << ": cost-based diverges from legacy-greedy";
-  EXPECT_EQ(cost_based == parse_order, true)
-      << context << ": cost-based diverges from parse-order";
+void ExpectPlannedMatchesUnplanned(const query::CQuery& q, const Database& db,
+                                   const std::string& context) {
+  const query::Assignment empty(q.num_vars(), &db.dict());
+  EXPECT_EQ(Extensions(q, db, empty, /*limit=*/0),
+            Extensions(q, db, empty, kUnplanned))
+      << context << ": planned diverges from unplanned";
 }
 
 /// Random erase/re-insert walk over the facts the query reads, checking
-/// three-way mode agreement after every edit (stats invalidation is
+/// planned against unplanned after every edit (stats invalidation is
 /// exercised for free: each edit bumps the relation version and the next
 /// plan rebuilds from fresh summaries).
 void FuzzEdits(const query::CQuery& q, const Database& initial,
@@ -93,7 +73,7 @@ void FuzzEdits(const query::CQuery& q, const Database& initial,
   std::sort(pool.begin(), pool.end());
   pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
   ASSERT_FALSE(pool.empty()) << context;
-  ExpectModesAgree(q, db, context + " (initial)");
+  ExpectPlannedMatchesUnplanned(q, db, context + " (initial)");
   for (size_t i = 0; i < num_edits; ++i) {
     const Fact& f = pool[rng.Index(pool.size())];
     if (db.Contains(f)) {
@@ -101,7 +81,8 @@ void FuzzEdits(const query::CQuery& q, const Database& initial,
     } else {
       ASSERT_TRUE(db.Insert(f).ok());
     }
-    ExpectModesAgree(q, db, context + " (edit " + std::to_string(i) + ")");
+    ExpectPlannedMatchesUnplanned(
+        q, db, context + " (edit " + std::to_string(i) + ")");
   }
 }
 
@@ -146,16 +127,15 @@ TEST(PlannerEquivalenceTest, DbGroupQueries) {
 }
 
 /// Partial-binding extension searches (the delta path IncrementalView
-/// runs after every edit) must likewise agree across modes.
+/// runs after every edit) must likewise agree, planned and unplanned.
 TEST(PlannerEquivalenceTest, PartialBindingsAgreeAcrossModes) {
   auto sample = workload::MakeFigureOneSample();
   ASSERT_TRUE(sample.ok());
   const query::CQuery& q = sample->q2;
   const Database& db = *sample->dirty;
   query::Evaluator eval(&db);
-  // Seed partials from every cost-based extension: rebind a prefix of
-  // each and re-extend under every mode.
-  eval.set_mode(query::EvalMode::kCostBased);
+  // Seed partials from every planned extension: rebind a prefix of each
+  // and re-extend both ways.
   std::vector<query::Assignment> all = eval.FindExtensions(
       q, query::Assignment(q.num_vars(), &db.dict()), /*limit=*/0);
   ASSERT_FALSE(all.empty());
@@ -165,20 +145,9 @@ TEST(PlannerEquivalenceTest, PartialBindingsAgreeAcrossModes) {
          ++v) {
       if (full.IsBound(v)) partial.BindId(v, full.IdOf(v));
     }
-    std::set<std::string> per_mode[3];
-    size_t i = 0;
-    for (query::EvalMode mode :
-         {query::EvalMode::kCostBased, query::EvalMode::kLegacyGreedy,
-          query::EvalMode::kParseOrder}) {
-      eval.set_mode(mode);
-      for (const query::Assignment& ext :
-           eval.FindExtensions(q, partial, /*limit=*/0)) {
-        per_mode[i].insert(ext.ToString(q));
-      }
-      ++i;
-    }
-    EXPECT_EQ(per_mode[0], per_mode[1]) << "cost-based vs legacy";
-    EXPECT_EQ(per_mode[0], per_mode[2]) << "cost-based vs parse-order";
+    EXPECT_EQ(Extensions(q, db, partial, /*limit=*/0),
+              Extensions(q, db, partial, kUnplanned))
+        << partial.ToString(q);
   }
 }
 

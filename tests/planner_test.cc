@@ -3,15 +3,17 @@
 // corruption injection through the friend backdoor), galloping sorted-id
 // intersection, deterministic root selection and tie-breaking, semi-join
 // reduction (root prefilter, allowed sets, infeasible empty intersections),
-// Plan::DebugString / Evaluator::ExplainPlan rendering, and the
-// QOCO_EXPLAIN environment hook of the cleaner.
+// Plan::DebugString / Evaluator::ExplainPlan rendering, the QOCO_EXPLAIN
+// environment hook of the cleaner, and planned against unplanned execution.
 
 #include "src/query/planner.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -201,8 +203,8 @@ TEST_F(PlannerTest, StatsAuditCatchesUnsortedDomain) {
 
 TEST_F(PlannerTest, RootPicksSmallestExactCount) {
   // Facts is large, Dim tiny: cost-based planning must root Dim even
-  // though both atoms have zero bound positions (where the legacy
-  // most-bound-first rule would keep the written order).
+  // though both atoms have zero bound positions (where a most-bound-first
+  // rule alone would keep the written order).
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(
         db_->Insert({facts_, {Value(std::to_string(i)), Value("t")}}).ok());
@@ -212,16 +214,19 @@ TEST_F(PlannerTest, RootPicksSmallestExactCount) {
   CQuery q = Parse("(x) :- Facts(x, y), Dim(x).");
   ColumnStats stats(db_.get());
   Planner planner(db_.get(), &stats);
-  // The tiny root would skip suffix prediction; force it so the join
-  // evidence (connected flag) is filled in for the assertion below.
-  Plan plan = planner.MakePlan(q, Empty(q), EvalMode::kCostBased,
-                               /*force_predict=*/true);
+  // Predict the suffix so the join evidence (connected flag) is filled in
+  // for the assertion below.
+  Plan plan = planner.MakePlan(q, Empty(q), /*predict_suffix=*/true);
   ASSERT_FALSE(plan.infeasible);
   ASSERT_EQ(plan.steps.size(), 2u);
   EXPECT_EQ(plan.steps[0].atom, 1u);  // Dim.
   EXPECT_EQ(plan.steps[1].atom, 0u);
   EXPECT_TRUE(plan.steps[1].connected);
-  EXPECT_FALSE(plan.strict_order);
+  // Without the prediction the plan holds only the root, all the
+  // executor reads.
+  Plan run_time = planner.MakePlan(q, Empty(q));
+  ASSERT_EQ(run_time.steps.size(), 1u);
+  EXPECT_EQ(run_time.steps[0].atom, 1u);
 }
 
 TEST_F(PlannerTest, RootTieBreaksOnBoundThenIndex) {
@@ -232,15 +237,13 @@ TEST_F(PlannerTest, RootTieBreaksOnBoundThenIndex) {
   CQuery with_const = Parse("(x) :- Dim(x), Facts(x, 't').");
   ColumnStats stats(db_.get());
   Planner planner(db_.get(), &stats);
-  Plan plan = planner.MakePlan(with_const, Empty(with_const),
-                               EvalMode::kCostBased);
+  Plan plan = planner.MakePlan(with_const, Empty(with_const));
   // est: Dim=1 row, Facts('t' posting)=1 — tied; Facts has 1 bound
   // position, Dim none, so Facts roots.
   EXPECT_EQ(plan.steps[0].atom, 1u);
 
   CQuery symmetric = Parse("(x) :- Dim(x), Dim(x).");
-  Plan tie = planner.MakePlan(symmetric, Empty(symmetric),
-                              EvalMode::kCostBased);
+  Plan tie = planner.MakePlan(symmetric, Empty(symmetric));
   EXPECT_EQ(tie.steps[0].atom, 0u);  // Full tie: earliest index.
 }
 
@@ -263,7 +266,7 @@ TEST_F(PlannerTest, FullyResolvedAtomEstimatesAtMostOneRow) {
   CQuery q = Parse("(x) :- Dim(x), Facts('k', 'tag0').");
   ColumnStats stats(db_.get());
   Planner planner(db_.get(), &stats);
-  Plan plan = planner.MakePlan(q, Empty(q), EvalMode::kCostBased);
+  Plan plan = planner.MakePlan(q, Empty(q));
   ASSERT_FALSE(plan.infeasible);
   EXPECT_EQ(plan.steps[0].atom, 1u);
   EXPECT_DOUBLE_EQ(plan.steps[0].est, 1.0);
@@ -274,7 +277,7 @@ TEST_F(PlannerTest, DeadResolvedColumnIsInfeasible) {
   CQuery q = Parse("(x) :- Facts(x, 'never-stored').");
   ColumnStats stats(db_.get());
   Planner planner(db_.get(), &stats);
-  Plan plan = planner.MakePlan(q, Empty(q), EvalMode::kCostBased);
+  Plan plan = planner.MakePlan(q, Empty(q));
   EXPECT_TRUE(plan.infeasible);
   // And evaluation agrees: empty result either way.
   Evaluator eval(db_.get());
@@ -288,7 +291,7 @@ TEST_F(PlannerTest, GroundFalseInequalityIsInfeasible) {
   ASSERT_TRUE(q_t.ok());
   ColumnStats stats(db_.get());
   Planner planner(db_.get(), &stats);
-  Plan plan = planner.MakePlan(*q_t, Empty(*q_t), EvalMode::kCostBased);
+  Plan plan = planner.MakePlan(*q_t, Empty(*q_t));
   EXPECT_TRUE(plan.infeasible);
 }
 
@@ -311,7 +314,7 @@ TEST_F(PlannerTest, SemiJoinFiltersRootAndBuildsAllowedSets) {
   CQuery q = Parse("(x) :- Facts(x, y), Dim(x).");
   ColumnStats stats(db_.get());
   Planner planner(db_.get(), &stats);
-  Plan plan = planner.MakePlan(q, Empty(q), EvalMode::kCostBased);
+  Plan plan = planner.MakePlan(q, Empty(q));
   ASSERT_FALSE(plan.infeasible);
   EXPECT_EQ(plan.steps[0].atom, 0u);  // Facts: 64 rows < Dim's 104.
   EXPECT_TRUE(plan.semijoin);
@@ -337,27 +340,10 @@ TEST_F(PlannerTest, EmptyDomainIntersectionIsInfeasible) {
   CQuery q = Parse("(x) :- Facts(x, y), Dim(x).");
   ColumnStats stats(db_.get());
   Planner planner(db_.get(), &stats);
-  Plan plan = planner.MakePlan(q, Empty(q), EvalMode::kCostBased);
+  Plan plan = planner.MakePlan(q, Empty(q));
   EXPECT_TRUE(plan.infeasible);
   Evaluator eval(db_.get());
   EXPECT_TRUE(eval.Evaluate(q).empty());
-}
-
-TEST_F(PlannerTest, ParseOrderPlansAreStrictAndUnreduced) {
-  for (int i = 0; i < 64; ++i) {
-    ASSERT_TRUE(
-        db_->Insert({facts_, {Value(std::to_string(i)), Value("t")}}).ok());
-  }
-  ASSERT_TRUE(db_->Insert({dim_, {Value("0")}}).ok());
-  CQuery q = Parse("(x) :- Facts(x, y), Dim(x).");
-  ColumnStats stats(db_.get());
-  Planner planner(db_.get(), &stats);
-  Plan plan = planner.MakePlan(q, Empty(q), EvalMode::kParseOrder);
-  EXPECT_TRUE(plan.strict_order);
-  EXPECT_FALSE(plan.semijoin);
-  ASSERT_EQ(plan.steps.size(), 2u);
-  EXPECT_EQ(plan.steps[0].atom, 0u);  // Written order, not the cheap Dim.
-  EXPECT_EQ(plan.steps[1].atom, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -375,19 +361,14 @@ TEST_F(PlannerTest, ExplainPlanRendersStepsAndSemiJoin) {
   CQuery q = Parse("(x) :- Facts(x, y), Dim(x).");
   Evaluator eval(db_.get());
   std::string text = eval.ExplainPlan(q);
-  EXPECT_NE(text.find("EXPLAIN (cost-based)"), std::string::npos) << text;
-  EXPECT_NE(text.find("Dim(x)"), std::string::npos) << text;
-  EXPECT_NE(text.find("Facts(x, y)"), std::string::npos) << text;
+  EXPECT_EQ(text.rfind("EXPLAIN (x) :- Facts(x, y), Dim(x)\n", 0), 0u)
+      << text;
+  EXPECT_NE(text.find("plan: 2 atoms, adaptive suffix"), std::string::npos)
+      << text;
   EXPECT_NE(text.find("root scan"), std::string::npos) << text;
-  EXPECT_NE(text.find("est="), std::string::npos) << text;
-  // Tiny root (4 candidates) would normally skip prediction; EXPLAIN must
-  // force it so every step still carries an estimate.
-  EXPECT_NE(text.find("adaptive suffix"), std::string::npos) << text;
-
-  eval.set_mode(EvalMode::kLegacyGreedy);
-  std::string legacy = eval.ExplainPlan(q);
-  EXPECT_NE(legacy.find("EXPLAIN (legacy-greedy)"), std::string::npos)
-      << legacy;
+  // EXPLAIN predicts the suffix, so the step after the root carries an
+  // estimate too.
+  EXPECT_NE(text.find("2. Facts(x, y)  est="), std::string::npos) << text;
 }
 
 TEST_F(PlannerTest, ExplainPlanRendersInfeasible) {
@@ -416,14 +397,15 @@ TEST(PlannerExplainEnvTest, CleanerDumpsPlanWhenAsked) {
   std::string captured = testing::internal::GetCapturedStderr();
   ASSERT_EQ(unsetenv("QOCO_EXPLAIN"), 0);
   ASSERT_TRUE(stats.ok());
-  EXPECT_NE(captured.find("EXPLAIN (cost-based)"), std::string::npos)
+  EXPECT_NE(captured.find("EXPLAIN " + sample->q1.ToString(db.catalog())),
+            std::string::npos)
       << captured;
   EXPECT_NE(captured.find("plan:"), std::string::npos) << captured;
 }
 
 // ---------------------------------------------------------------------------
-// Execution equivalence of the three modes on a targeted workload (the
-// broad randomized check lives in planner_equivalence_test.cc).
+// Planned against unplanned execution on a targeted workload (the broad
+// randomized check lives in planner_equivalence_test.cc).
 // ---------------------------------------------------------------------------
 
 TEST_F(PlannerTest, AllModesComputeTheSameResult) {
@@ -438,15 +420,15 @@ TEST_F(PlannerTest, AllModesComputeTheSameResult) {
   }
   CQuery q = Parse("(x, y) :- Facts(x, y), Dim(x).");
   Evaluator eval(db_.get());
-  eval.set_mode(EvalMode::kCostBased);
-  EvalResult cost_based = eval.Evaluate(q);
-  eval.set_mode(EvalMode::kLegacyGreedy);
-  EvalResult legacy = eval.Evaluate(q);
-  eval.set_mode(EvalMode::kParseOrder);
-  EvalResult parse_order = eval.Evaluate(q);
-  EXPECT_EQ(cost_based.AnswerTuples(), legacy.AnswerTuples());
-  EXPECT_EQ(cost_based.AnswerTuples(), parse_order.AnswerTuples());
-  EXPECT_EQ(cost_based.size(), 40u);  // 5 joinable keys x 8 tags.
+  const std::vector<Tuple> planned = eval.Evaluate(q).AnswerTuples();
+  // Any limit runs the unplanned engine; the largest lets it finish.
+  std::set<Tuple> unplanned;
+  for (const Assignment& a : eval.FindExtensions(
+           q, Empty(q), std::numeric_limits<size_t>::max())) {
+    unplanned.insert(*a.ApplyHead(q.head()));
+  }
+  EXPECT_EQ(std::set<Tuple>(planned.begin(), planned.end()), unplanned);
+  EXPECT_EQ(planned.size(), 40u);  // 5 joinable keys x 8 tags.
 }
 
 }  // namespace
