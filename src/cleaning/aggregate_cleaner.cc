@@ -1,6 +1,5 @@
 #include "src/cleaning/aggregate_cleaner.h"
 
-#include <algorithm>
 #include <optional>
 #include <set>
 
@@ -21,20 +20,10 @@ relational::Tuple Concat(const relational::Tuple& a,
 
 }  // namespace
 
-void AggregateCleaner::SyncBaseView(const EditList& edits) {
-  for (const Edit& e : edits) {
-    if (e.kind == Edit::Kind::kInsert) {
-      base_view_->OnInsert(e.fact);
-    } else {
-      base_view_->OnErase(e.fact);
-    }
-  }
-}
-
 std::vector<relational::Tuple> AggregateCleaner::UnitsOf(
     const relational::Tuple& group) const {
-  query::AggregateEvaluator evaluator(db_);
-  for (const query::AggregateGroup& g : evaluator.EvaluateAllGroups(q_)) {
+  for (const query::AggregateGroup& g :
+       query::GroupAnswers(q_, base_view_->result())) {
     if (g.key == group) return g.units;
   }
   return {};
@@ -64,7 +53,7 @@ common::Result<bool> AggregateCleaner::ShrinkGroup(
         RemoveWrongAnswer(q_.base(), *db_, Concat(group.key, unit), panel_,
                           config_.deletion_policy, &rng_, config_.trust));
     QOCO_RETURN_NOT_OK(ApplyEdits(removal.edits, db_));
-    SyncBaseView(removal.edits);
+    SyncView(removal.edits, *db_, &audit_ticker_, &*base_view_);
     stats->edits.insert(stats->edits.end(), removal.edits.begin(),
                         removal.edits.end());
     stats->deletion_upper_bound += removal.distinct_witness_facts;
@@ -101,7 +90,7 @@ common::Result<bool> AggregateCleaner::GrowGroup(
         InsertResult insertion,
         AddMissingAnswer(q_.base(), db_, Concat(group, *missing_unit),
                          panel_, config_.insertion, &rng_));
-    SyncBaseView(insertion.edits);
+    SyncView(insertion.edits, *db_, &audit_ticker_, &*base_view_);
     stats->edits.insert(stats->edits.end(), insertion.edits.begin(),
                         insertion.edits.end());
     stats->insertion_upper_bound += insertion.naive_upper_bound_vars;
@@ -117,19 +106,18 @@ common::Result<CleanerStats> AggregateCleaner::Run() {
   std::set<relational::Tuple> verified_groups;
 
   // Materialize the base query once and delta-maintain it across every
-  // edit of the session; phase B's repeated "current base answers" reads
-  // then cost nothing.
+  // edit of the session; every later read of the groups, their units and
+  // the current base answers is served from it.
   base_view_.emplace(q_.base(), db_);
 
   bool changed = true;
   while (changed && stats.iterations < config_.max_iterations) {
     ++stats.iterations;
     changed = false;
-    query::AggregateEvaluator evaluator(db_);
 
     // Phase A: examine the groups on the wrong side of the threshold.
     for (const query::AggregateGroup& group :
-         evaluator.EvaluateAllGroups(q_)) {
+         query::GroupAnswers(q_, base_view_->result())) {
       if (verified_groups.contains(group.key)) continue;
       if (q_.cmp() == query::AggregateQuery::Cmp::kAtLeast) {
         if (q_.Satisfies(group.count())) {
@@ -193,13 +181,13 @@ common::Result<CleanerStats> AggregateCleaner::Run() {
       if (!missing_base.has_value()) continue;
 
       relational::Tuple group = q_.GroupOf(*missing_base);
-      bool qualified_before = q_.Satisfies(UnitsOf(group).size()) &&
-                              !UnitsOf(group).empty();
+      size_t count_before = UnitsOf(group).size();
+      bool qualified_before = q_.Satisfies(count_before) && count_before > 0;
       QOCO_ASSIGN_OR_RETURN(
           InsertResult insertion,
           AddMissingAnswer(q_.base(), db_, *missing_base, panel_,
                            config_.insertion, &rng_));
-      SyncBaseView(insertion.edits);
+      SyncView(insertion.edits, *db_, &audit_ticker_, &*base_view_);
       stats.edits.insert(stats.edits.end(), insertion.edits.begin(),
                          insertion.edits.end());
       stats.insertion_upper_bound += insertion.naive_upper_bound_vars;

@@ -52,20 +52,19 @@ class AggregateCleaner {
   common::Result<bool> GrowGroup(const relational::Tuple& group,
                                  size_t target_count, CleanerStats* stats);
 
-  /// Current units of `group` over D.
+  /// Current units of `group` over D, read from the base view.
   std::vector<relational::Tuple> UnitsOf(const relational::Tuple& group) const;
-
-  /// Replays already-applied edits into the maintained base-query view.
-  void SyncBaseView(const EditList& edits);
 
   const query::AggregateQuery& q_;
   relational::Database* db_;
   crowd::CrowdPanel* panel_;
   CleanerConfig config_;
   common::Rng rng_;
-  /// Built by Run(): the maintained base-query view backing phase B's
-  /// missing-base-answer enumeration.
+  /// Built by Run(): the maintained base-query view every group, unit and
+  /// missing-base-answer read goes through.
   std::optional<query::IncrementalView> base_view_;
+  /// Paces base_view_'s deep audits (SyncView).
+  common::AuditTicker audit_ticker_{kDebugAuditPeriod};
 };
 
 }  // namespace qoco::cleaning

@@ -1,67 +1,148 @@
 #include "src/cleaning/cleaner.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
 #include <set>
+#include <span>
+#include <utility>
+#include <vector>
 
-#include "src/common/check.h"
-#include "src/common/invariant.h"
 #include "src/crowd/enumeration_estimator.h"
 #include "src/query/evaluator.h"
 #include "src/query/incremental_view.h"
 
 namespace qoco::cleaning {
 
-common::Result<CleanerStats> QocoCleaner::Run() {
+namespace {
+
+// The steps of Algorithm 3 that differ by view language, one overload per
+// language; RunAlgorithm3 below holds the rest of the loop.
+
+/// The conjunctive queries whose plans QOCO_EXPLAIN dumps.
+std::span<const query::CQuery> Disjuncts(const query::CQuery& q) {
+  return {&q, 1};
+}
+std::span<const query::CQuery> Disjuncts(const query::UnionQuery& q) {
+  return q.disjuncts();
+}
+
+/// The view's current answers, sorted.
+std::vector<relational::Tuple> Answers(const query::IncrementalView& view) {
+  return view.result().AnswerTuples();
+}
+std::vector<relational::Tuple> Answers(
+    const query::IncrementalUnionView& view) {
+  return view.AnswerTuples();
+}
+
+/// The witnesses of the wrong answer `t`, read in place: the view already
+/// holds them, so no re-evaluation is needed.
+const provenance::WitnessSet& WitnessesOf(const query::IncrementalView& view,
+                                          const relational::Tuple& t) {
+  static const provenance::WitnessSet kNone;
+  const query::AnswerInfo* info = view.result().Find(t);
+  return info != nullptr ? info->witnesses : kNone;
+}
+
+/// A union answer is gone only once every witness of every disjunct that
+/// produces it is destroyed: the witnesses are combined into one
+/// hitting-set instance, so one NO answer can prune across disjuncts.
+provenance::WitnessSet WitnessesOf(const query::IncrementalUnionView& view,
+                                   const relational::Tuple& t) {
+  return view.CombinedWitnesses(t);
+}
+
+/// Algorithm 2 for a missing answer of a conjunctive query.
+common::Result<InsertResult> InsertMissingAnswer(
+    const query::CQuery& q, relational::Database* db,
+    const relational::Tuple& t, crowd::CrowdPanel* panel,
+    const InsertionConfig& config, common::Rng* rng) {
+  return AddMissingAnswer(q, db, t, panel, config, rng);
+}
+
+/// A missing union answer needs a witness under some disjunct. Disjuncts
+/// are tried cheapest-first (fewest variables to fill in Q_i|t); each is
+/// first confirmed with the crowd as producing t (a boolean question),
+/// since Algorithm 2's up-front ground-atom insertions are only sound
+/// under that premise.
+common::Result<InsertResult> InsertMissingAnswer(
+    const query::UnionQuery& q, relational::Database* db,
+    const relational::Tuple& t, crowd::CrowdPanel* panel,
+    const InsertionConfig& config, common::Rng* rng) {
+  std::vector<std::pair<size_t, size_t>> order;  // (naive vars, index)
+  for (size_t i = 0; i < q.disjuncts().size(); ++i) {
+    auto q_t = q.disjuncts()[i].InstantiateAnswer(t);
+    if (!q_t.ok()) continue;
+    order.emplace_back(q_t->BodyVars().size(), i);
+  }
+  std::sort(order.begin(), order.end());
+
+  InsertResult out;
+  for (const auto& [vars, index] : order) {
+    const query::CQuery& disjunct = q.disjuncts()[index];
+    if (!panel->VerifyAnswer(disjunct, t)) continue;
+    QOCO_ASSIGN_OR_RETURN(
+        InsertResult attempt,
+        AddMissingAnswer(disjunct, db, t, panel, config, rng));
+    out.edits.insert(out.edits.end(), attempt.edits.begin(),
+                     attempt.edits.end());
+    out.naive_upper_bound_vars =
+        std::max(out.naive_upper_bound_vars, attempt.naive_upper_bound_vars);
+    if (attempt.succeeded) {
+      out.succeeded = true;
+      return out;
+    }
+  }
+  return out;
+}
+
+/// Algorithm 3's loop over a `View` of `q` (query::IncrementalView for a
+/// CQuery, query::IncrementalUnionView for a UnionQuery).
+template <typename View, typename Query>
+common::Result<CleanerStats> RunAlgorithm3(const Query& q,
+                                           relational::Database* db,
+                                           crowd::CrowdPanel* panel,
+                                           const CleanerConfig& config,
+                                           common::Rng* rng) {
   CleanerStats stats;
-  // EXPLAIN hook: dump the session query's plan once, before any edit,
-  // when the environment asks for it. Diagnostics only — stderr, so
-  // transcripts on stdout stay untouched.
+  // EXPLAIN hook: dump each query plan once, before any edit, when the
+  // environment asks for it. Diagnostics only — stderr, so transcripts on
+  // stdout stay untouched.
   if (const char* flag = std::getenv("QOCO_EXPLAIN");
       flag != nullptr && flag[0] == '1') {
-    std::fputs(query::Evaluator(db_).ExplainPlan(q_).c_str(), stderr);
+    query::Evaluator evaluator(db);
+    for (const query::CQuery& disjunct : Disjuncts(q)) {
+      std::fputs(evaluator.ExplainPlan(disjunct).c_str(), stderr);
+    }
   }
   // Pay full-query cost once here, delta cost per edit.
-  query::IncrementalView view(q_, db_);
-  // Replays already-applied edits into the view (delta maintenance).
+  View view(q, db);
   common::AuditTicker audit_ticker(kDebugAuditPeriod);
-  auto sync_view = [&](const EditList& edits) {
-    for (const Edit& e : edits) {
-      if (e.kind == Edit::Kind::kInsert) {
-        view.OnInsert(e.fact);
-      } else {
-        view.OnErase(e.fact);
-      }
-    }
-    if (common::kDebugChecksEnabled && audit_ticker.Tick()) {
-      QOCO_CHECK_OK(view.AuditInvariants());
-      QOCO_CHECK_OK(db_->AuditInvariants());
-    }
-  };
   std::set<relational::Tuple> verified;
-  crowd::QuestionCounts baseline = panel_->counts();
+  crowd::QuestionCounts baseline = panel->counts();
 
   bool first_iteration = true;
-  while (stats.iterations < config_.max_iterations) {
+  while (stats.iterations < config.max_iterations) {
     // Re-entry condition (line 1): first iteration, or unverified answers
     // remain (insertions/deletions may have created new errors).
-    std::vector<relational::Tuple> current = view.result().AnswerTuples();
+    std::vector<relational::Tuple> current = Answers(view);
     bool has_unverified = false;
     for (const relational::Tuple& t : current) {
       if (!verified.contains(t)) has_unverified = true;
     }
     // Without the deletion part there is no verification loop, so a single
     // insertion pass is all the algorithm can do.
-    if (!first_iteration && (!has_unverified || !config_.do_deletion)) break;
+    if (!first_iteration && (!has_unverified || !config.do_deletion)) break;
     first_iteration = false;
     ++stats.iterations;
 
     // Deletion part (lines 2-6): verify every unverified answer; remove
     // the wrong ones. The view refreshes after each removal since edits
     // can change the result.
-    while (config_.do_deletion) {
-      current = view.result().AnswerTuples();
+    while (config.do_deletion) {
+      current = Answers(view);
       const relational::Tuple* next_unverified = nullptr;
       for (const relational::Tuple& t : current) {
         if (!verified.contains(t)) {
@@ -71,17 +152,15 @@ common::Result<CleanerStats> QocoCleaner::Run() {
       }
       if (next_unverified == nullptr) break;
       relational::Tuple t = *next_unverified;
-      if (panel_->VerifyAnswer(q_, t)) {
+      if (panel->VerifyAnswer(q, t)) {
         verified.insert(t);
         continue;
       }
-      // The view already holds t's witnesses; no re-evaluation needed.
-      const query::AnswerInfo* info = view.result().Find(t);
       QOCO_ASSIGN_OR_RETURN(
           RemoveResult removal,
-          RemoveWrongAnswerFromWitnesses(
-              info != nullptr ? info->witnesses : provenance::WitnessSet{},
-              panel_, config_.deletion_policy, &rng_, config_.trust));
+          RemoveWrongAnswerFromWitnesses(WitnessesOf(view, t), panel,
+                                         config.deletion_policy, rng,
+                                         config.trust));
       if (removal.edits.empty()) {
         // Contradictory crowd verdicts (the answer was judged wrong but
         // every witness tuple verified true) are possible with imperfect
@@ -89,8 +168,8 @@ common::Result<CleanerStats> QocoCleaner::Run() {
         verified.insert(t);
         continue;
       }
-      QOCO_RETURN_NOT_OK(ApplyEdits(removal.edits, db_));
-      sync_view(removal.edits);
+      QOCO_RETURN_NOT_OK(ApplyEdits(removal.edits, db));
+      SyncView(removal.edits, *db, &audit_ticker, &view);
       stats.edits.insert(stats.edits.end(), removal.edits.begin(),
                          removal.edits.end());
       stats.deletion_upper_bound += removal.distinct_witness_facts;
@@ -99,12 +178,12 @@ common::Result<CleanerStats> QocoCleaner::Run() {
 
     // Insertion part (lines 7-9): enumerate missing answers with the
     // crowd until the enumeration black-box reports completeness.
-    crowd::EnumerationEstimator estimator(config_.enumeration_nulls_to_stop);
+    crowd::EnumerationEstimator estimator(config.enumeration_nulls_to_stop);
     std::set<relational::Tuple> attempted;
-    while (config_.do_insertion && !estimator.IsLikelyComplete()) {
-      current = view.result().AnswerTuples();
+    while (config.do_insertion && !estimator.IsLikelyComplete()) {
+      current = Answers(view);
       std::optional<relational::Tuple> missing =
-          panel_->MissingAnswer(q_, current);
+          panel->MissingAnswer(q, current);
       if (missing.has_value() && !attempted.insert(*missing).second) {
         // An earlier insertion attempt for this answer failed (possible
         // only with imperfect experts); treat the repeat as exhaustion so
@@ -116,10 +195,9 @@ common::Result<CleanerStats> QocoCleaner::Run() {
       if (!missing.has_value()) continue;
       QOCO_ASSIGN_OR_RETURN(
           InsertResult insertion,
-          AddMissingAnswer(q_, db_, *missing, panel_, config_.insertion,
-                           &rng_));
+          InsertMissingAnswer(q, db, *missing, panel, config.insertion, rng));
       // Algorithm 2 applies its edits as it goes; replay them into the view.
-      sync_view(insertion.edits);
+      SyncView(insertion.edits, *db, &audit_ticker, &view);
       stats.edits.insert(stats.edits.end(), insertion.edits.begin(),
                          insertion.edits.end());
       stats.insertion_upper_bound += insertion.naive_upper_bound_vars;
@@ -130,8 +208,20 @@ common::Result<CleanerStats> QocoCleaner::Run() {
     }
   }
 
-  stats.questions = panel_->counts() - baseline;
+  stats.questions = panel->counts() - baseline;
   return stats;
+}
+
+}  // namespace
+
+common::Result<CleanerStats> QocoCleaner::Run() {
+  return RunAlgorithm3<query::IncrementalView>(q_, db_, panel_, config_,
+                                               &rng_);
+}
+
+common::Result<CleanerStats> UnionCleaner::Run() {
+  return RunAlgorithm3<query::IncrementalUnionView>(q_, db_, panel_, config_,
+                                                    &rng_);
 }
 
 }  // namespace qoco::cleaning

@@ -4,6 +4,8 @@
 #include "src/cleaning/add_missing_answer.h"
 #include "src/cleaning/edit.h"
 #include "src/cleaning/remove_wrong_answer.h"
+#include "src/common/check.h"
+#include "src/common/invariant.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/crowd/crowd_panel.h"
@@ -17,6 +19,27 @@ namespace qoco::cleaning {
 /// view and the database in common::kDebugChecksEnabled builds (plain
 /// release builds skip the audits entirely).
 inline constexpr size_t kDebugAuditPeriod = 16;
+
+/// Replays edits already applied to `db` into `view` (delta maintenance,
+/// query::IncrementalView or query::IncrementalUnionView). In
+/// common::kDebugChecksEnabled builds, every kDebugAuditPeriod-th sync
+/// counted by `ticker` (built with that period) also deep-audits the view
+/// and the database.
+template <typename View>
+void SyncView(const EditList& edits, const relational::Database& db,
+              common::AuditTicker* ticker, View* view) {
+  for (const Edit& e : edits) {
+    if (e.kind == Edit::Kind::kInsert) {
+      view->OnInsert(e.fact);
+    } else {
+      view->OnErase(e.fact);
+    }
+  }
+  if (common::kDebugChecksEnabled && ticker->Tick()) {
+    QOCO_CHECK_OK(view->AuditInvariants());
+    QOCO_CHECK_OK(db.AuditInvariants());
+  }
+}
 
 /// Configuration of the end-to-end cleaner (Algorithm 3).
 struct CleanerConfig {
@@ -65,6 +88,7 @@ struct CleanerStats {
 /// The view is materialized once and delta-maintained across every edit
 /// (query::IncrementalView). A session runs on the calling thread. Set
 /// QOCO_EXPLAIN=1 to dump the session query's plan to stderr at startup.
+/// UnionCleaner runs the same loop over a union of conjunctive queries.
 class QocoCleaner {
  public:
   /// `db` is cleaned in place; `panel` supplies the crowd; all must
@@ -79,6 +103,40 @@ class QocoCleaner {
 
  private:
   const query::CQuery& q_;
+  relational::Database* db_;
+  crowd::CrowdPanel* panel_;
+  CleanerConfig config_;
+  common::Rng rng_;
+};
+
+/// Algorithm 3 over a union of conjunctive queries (the paper's results
+/// extend to UCQs; Section 2). The loop is QocoCleaner's; two steps
+/// differ:
+///
+/// * A wrong answer of the union must be removed from *every* disjunct
+///   that produces it: the witness sets of all disjuncts are combined into
+///   one hitting-set instance, so one crowd question can prune witnesses
+///   across disjuncts.
+/// * A missing answer needs a witness under *some* disjunct: Algorithm 2
+///   runs per disjunct — fewest variables first, each behind a
+///   TRUE(Q_i, t)? check — until one succeeds.
+///
+/// Verification questions TRUE(Q, t)? are posed against the union. One
+/// query::IncrementalUnionView (a view per disjunct) is maintained across
+/// every edit; QOCO_EXPLAIN=1 dumps each disjunct's plan.
+class UnionCleaner {
+ public:
+  /// Same contract as QocoCleaner, over a UnionQuery.
+  UnionCleaner(const query::UnionQuery& q, relational::Database* db,
+               crowd::CrowdPanel* panel, CleanerConfig config,
+               common::Rng rng)
+      : q_(q), db_(db), panel_(panel), config_(config), rng_(rng) {}
+
+  /// Runs the session to convergence (or the iteration cap).
+  common::Result<CleanerStats> Run();
+
+ private:
+  const query::UnionQuery& q_;
   relational::Database* db_;
   crowd::CrowdPanel* panel_;
   CleanerConfig config_;

@@ -17,7 +17,6 @@
 #include "src/cleaning/remove_wrong_answer.h"
 #include "src/cleaning/split_strategy.h"
 #include "src/cleaning/trust.h"
-#include "src/cleaning/union_cleaner.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/crowd/crowd_panel.h"

@@ -1,6 +1,5 @@
 #include "src/qoco/session.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "src/query/parser.h"
@@ -20,44 +19,10 @@ Session::Session(relational::Database* db,
       rng_(options.seed) {}
 
 void Session::JournalEdits(const cleaning::EditList& edits) {
-  // Deltas are applied to views in signature order, never in hash order:
-  // unordered_map layout varies across libstdc++ versions and process runs,
-  // and any maintenance side effect (audit hooks, diagnostics) would leak
-  // that order. Snapshot + sort once per batch, then stream every edit.
-  std::vector<std::pair<std::string_view, query::IncrementalView*>> views;
-  views.reserve(monitored_views_.size());
-  // qoco-lint: allow(unordered-iteration): pointer snapshot only, sorted by signature below
-  for (auto& [signature, view] : monitored_views_) {
-    views.emplace_back(signature, view.get());
-  }
-  std::sort(views.begin(), views.end());
   for (const cleaning::Edit& e : edits) {
-    bool is_insert = e.kind == cleaning::Edit::Kind::kInsert;
-    journal_.Append(is_insert, e.fact, db_->catalog());
-    for (auto& [signature, view] : views) {
-      if (is_insert) {
-        view->OnInsert(e.fact);
-      } else {
-        view->OnErase(e.fact);
-      }
-    }
+    journal_.Append(e.kind == cleaning::Edit::Kind::kInsert, e.fact,
+                    db_->catalog());
   }
-}
-
-common::Result<std::vector<relational::Tuple>> Session::EvaluateView(
-    std::string_view query_text) {
-  QOCO_ASSIGN_OR_RETURN(query::CQuery q,
-                        query::ParseQuery(query_text, db_->catalog()));
-  return EvaluateView(q);
-}
-
-common::Result<std::vector<relational::Tuple>> Session::EvaluateView(
-    const query::CQuery& q) {
-  auto [it, inserted] = monitored_views_.try_emplace(q.Signature(), nullptr);
-  if (inserted) {
-    it->second = std::make_unique<query::IncrementalView>(q, db_);
-  }
-  return it->second->result().AnswerTuples();
 }
 
 common::Result<cleaning::CleanerStats> Session::CleanView(

@@ -1,27 +1,23 @@
 #ifndef QOCO_QOCO_SESSION_H_
 #define QOCO_QOCO_SESSION_H_
 
-#include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/cleaning/aggregate_cleaner.h"
 #include "src/cleaning/cleaner.h"
-#include "src/cleaning/union_cleaner.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/crowd/crowd_panel.h"
 #include "src/query/aggregate.h"
-#include "src/query/incremental_view.h"
 #include "src/relational/database.h"
 #include "src/relational/journal.h"
 
 namespace qoco {
 
 /// The front door of the library: a long-lived cleaning session over one
-/// database and one crowd, monitoring any number of views.
+/// database and one crowd, cleaning any number of views.
 ///
 /// A Session owns the crowd panel (so verdicts are cached and never
 /// re-asked across views), accumulates a durable journal of every applied
@@ -65,17 +61,6 @@ class Session {
   common::Result<cleaning::CleanerStats> CleanAggregateView(
       const query::AggregateQuery& q);
 
-  /// Evaluates a monitored view against the current database. The first
-  /// call per structurally-distinct query pays a full evaluation; later
-  /// calls are served from an incrementally-maintained materialization
-  /// that this session keeps in sync with every edit it applies. Callers
-  /// that mutate the database outside the session must not rely on cached
-  /// views (they see only session-applied edits).
-  common::Result<std::vector<relational::Tuple>> EvaluateView(
-      std::string_view query_text);
-  common::Result<std::vector<relational::Tuple>> EvaluateView(
-      const query::CQuery& q);
-
   /// Crowd interaction accumulated across all views of this session.
   const crowd::QuestionCounts& questions() const { return panel_.counts(); }
 
@@ -93,7 +78,7 @@ class Session {
   crowd::CrowdPanel* panel() { return &panel_; }
 
  private:
-  /// Journals `edits` and replays them into every cached monitored view.
+  /// Appends `edits` to the journal.
   void JournalEdits(const cleaning::EditList& edits);
 
   relational::Database* db_;
@@ -101,10 +86,6 @@ class Session {
   crowd::CrowdPanel panel_;
   relational::EditJournal journal_;
   common::Rng rng_;
-  /// Monitored views keyed by CQuery::Signature(), maintained under every
-  /// session-applied edit (stable addresses; hence unique_ptr).
-  std::unordered_map<std::string, std::unique_ptr<query::IncrementalView>>
-      monitored_views_;
 };
 
 }  // namespace qoco

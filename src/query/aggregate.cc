@@ -1,7 +1,7 @@
 #include "src/query/aggregate.h"
 
-#include <algorithm>
-#include <map>
+#include <optional>
+#include <utility>
 
 namespace qoco::query {
 
@@ -86,25 +86,25 @@ std::string AggregateQuery::ToString(
   return out;
 }
 
-std::vector<AggregateGroup> AggregateEvaluator::EvaluateAllGroups(
-    const AggregateQuery& q) const {
-  Evaluator evaluator(db_);
-  EvalResult base = evaluator.Evaluate(q.base());
-  std::map<relational::Tuple, AggregateGroup> groups;
+std::vector<AggregateGroup> GroupAnswers(const AggregateQuery& q,
+                                         const EvalResult& base) {
+  // Base answers are sorted and distinct, and each is its group key
+  // followed by its unit, so a group's units arrive together, distinct and
+  // in order.
+  std::vector<AggregateGroup> groups;
   for (const AnswerInfo& info : base.answers()) {
     relational::Tuple key = q.GroupOf(info.tuple);
-    relational::Tuple unit = q.UnitOf(info.tuple);
-    AggregateGroup& group = groups[key];
-    group.key = key;
-    if (std::find(group.units.begin(), group.units.end(), unit) ==
-        group.units.end()) {
-      group.units.push_back(unit);
+    if (groups.empty() || groups.back().key != key) {
+      groups.push_back(AggregateGroup{std::move(key), {}});
     }
+    groups.back().units.push_back(q.UnitOf(info.tuple));
   }
-  std::vector<AggregateGroup> out;
-  out.reserve(groups.size());
-  for (auto& [key, group] : groups) out.push_back(std::move(group));
-  return out;
+  return groups;
+}
+
+std::vector<AggregateGroup> AggregateEvaluator::EvaluateAllGroups(
+    const AggregateQuery& q) const {
+  return GroupAnswers(q, Evaluator(db_).Evaluate(q.base()));
 }
 
 std::vector<AggregateGroup> AggregateEvaluator::Evaluate(

@@ -72,12 +72,17 @@ class AggregateQuery {
 /// One group of the aggregate result.
 struct AggregateGroup {
   relational::Tuple key;
-  /// Distinct counted units contributing to the group, with the base
-  /// answers' provenance.
+  /// Distinct counted units contributing to the group, sorted.
   std::vector<relational::Tuple> units;
   /// units.size(), the COUNT(DISTINCT ...) value.
   size_t count() const { return units.size(); }
 };
+
+/// Every group of `q` regardless of the HAVING filter, sorted by key, from
+/// `base`, an evaluation of q.base() (Evaluator::Evaluate or a maintained
+/// IncrementalView's result).
+std::vector<AggregateGroup> GroupAnswers(const AggregateQuery& q,
+                                         const EvalResult& base);
 
 /// Evaluates an aggregate query. Only groups satisfying the HAVING
 /// comparison are answers; EvaluateAllGroups also exposes the rest.

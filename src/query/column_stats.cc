@@ -6,23 +6,7 @@
 
 namespace qoco::query {
 
-namespace {
-
-using relational::IsInlineInt;
 using relational::Relation;
-using relational::ValueId;
-
-/// floor(log2(n)) for n >= 1, clamped to the histogram width.
-size_t Log2Bucket(size_t n) {
-  size_t b = 0;
-  while (n > 1 && b + 1 < 32) {
-    n >>= 1;
-    ++b;
-  }
-  return b;
-}
-
-}  // namespace
 
 ColumnStats::ColumnStats(const relational::Database* db)
     : db_(db), relations_(db->catalog().size()) {}
@@ -34,27 +18,11 @@ RelationSummary ColumnStats::Compute(const Relation& rel) {
   summary.columns.resize(rel.arity());
   for (size_t col = 0; col < rel.arity(); ++col) {
     ColumnSummary& c = summary.columns[col];
-    const relational::IdPostingMap& postings = rel.ColumnPostings(col);
-    c.distinct = postings.size();
-    c.avg_posting = c.distinct == 0
+    c.domain = rel.ColumnPostings(col).SortedKeys();
+    c.avg_posting = c.domain.empty()
                         ? 0.0
                         : static_cast<double>(rel.size()) /
-                              static_cast<double>(c.distinct);
-    postings.ForEach([&](ValueId id, const std::vector<uint32_t>& list) {
-      c.max_posting = std::max(c.max_posting, list.size());
-      ++c.log2_histogram[Log2Bucket(list.size())];
-      if (IsInlineInt(id)) {
-        int64_t v = relational::InlineIntOf(id);
-        if (!c.has_ints) {
-          c.has_ints = true;
-          c.int_min = c.int_max = v;
-        } else {
-          c.int_min = std::min(c.int_min, v);
-          c.int_max = std::max(c.int_max, v);
-        }
-      }
-    });
-    c.domain = postings.SortedKeys();
+                              static_cast<double>(c.domain.size());
   }
   return summary;
 }
@@ -96,29 +64,10 @@ common::Status ColumnStats::AuditInvariants() const {
     for (size_t col = 0; col < fresh.columns.size(); ++col) {
       const ColumnSummary& a = cached.columns[col];
       const ColumnSummary& b = fresh.columns[col];
-      if (a.distinct != b.distinct) {
-        audit.Violation() << name << " column " << col
-                          << ": stale distinct count " << a.distinct
-                          << " (live: " << b.distinct << ")";
-      }
-      if (a.max_posting != b.max_posting) {
-        audit.Violation() << name << " column " << col
-                          << ": stale max posting " << a.max_posting
-                          << " (live: " << b.max_posting << ")";
-      }
       if (a.avg_posting != b.avg_posting) {
         audit.Violation() << name << " column " << col
                           << ": stale avg posting " << a.avg_posting
                           << " (live: " << b.avg_posting << ")";
-      }
-      if (a.log2_histogram != b.log2_histogram) {
-        audit.Violation() << name << " column " << col
-                          << ": stale posting-size histogram";
-      }
-      if (a.has_ints != b.has_ints || a.int_min != b.int_min ||
-          a.int_max != b.int_max) {
-        audit.Violation() << name << " column " << col
-                          << ": stale inline-int range";
       }
       if (a.domain != b.domain) {
         audit.Violation() << name << " column " << col

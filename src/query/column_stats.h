@@ -1,7 +1,6 @@
 #ifndef QOCO_QUERY_COLUMN_STATS_H_
 #define QOCO_QUERY_COLUMN_STATS_H_
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -11,28 +10,14 @@
 
 namespace qoco::query {
 
-/// Per-column summary derived from one walk over a relation's posting-list
-/// index (relational::Relation::ColumnPostings): everything the cost-based
-/// planner needs to estimate candidate counts without touching row data.
+/// Per-column summary derived from a relation's posting-list index
+/// (relational::Relation::ColumnPostings): what the cost-based planner
+/// reads to estimate candidate counts without touching row data.
 struct ColumnSummary {
-  /// Number of distinct values (= posting lists) in the column.
-  size_t distinct = 0;
-  /// Largest posting-list length: the worst-case candidate count of an
-  /// equality probe into this column.
-  size_t max_posting = 0;
-  /// rows / distinct — the expected candidate count of an equality probe
-  /// with an unknown key (0 for an empty column).
+  /// rows / distinct values — the expected candidate count of an equality
+  /// probe with an unknown key (0 for an empty column). EXPLAIN's predicted
+  /// suffix reads it.
   double avg_posting = 0.0;
-  /// log2 posting-size histogram: bucket i counts posting lists p with
-  /// floor(log2(|p|)) == i. Exposes skew the average hides (a column with
-  /// one huge and many tiny lists plans differently from a uniform one).
-  std::array<uint32_t, 32> log2_histogram{};
-  /// Inline-integer value range over the column (has_ints false when no
-  /// inline-int id appears). Dictionary-slot ids carry no order, so only
-  /// the inline-encoded integers contribute.
-  bool has_ints = false;
-  int64_t int_min = 0;
-  int64_t int_max = 0;
   /// Every distinct id of the column, sorted by raw id. Raw-id order is
   /// interning order — deterministic because interning is coordinator-side
   /// only — so these vectors are stable set representations: the semi-join
@@ -82,11 +67,11 @@ class ColumnStats {
 
   /// Deep audit: every snapshot whose stamp claims freshness (version
   /// matches the live relation) must equal a from-scratch recomputation —
-  /// distinct counts, extrema, histogram, int ranges, and the sorted
-  /// domain, which must also be strictly ascending. A snapshot that is
-  /// merely stale is fine (laziness is the design), but a snapshot that
-  /// *claims* freshness and lies means some mutation path forgot to bump
-  /// Relation::version(). Returns OK or kInternal listing every violation.
+  /// row count, average posting size, and the sorted domain, which must
+  /// also be strictly ascending. A snapshot that is merely stale is fine
+  /// (laziness is the design), but a snapshot that *claims* freshness and
+  /// lies means some mutation path forgot to bump Relation::version().
+  /// Returns OK or kInternal listing every violation.
   common::Status AuditInvariants() const;
 
  private:

@@ -50,22 +50,16 @@ bool AssignmentUsesFact(const CQuery& q, const Assignment& a,
 }  // namespace
 
 IncrementalView::IncrementalView(CQuery q, const relational::Database* db)
-    : q_(std::move(q)), db_(db), evaluator_(db) {
-  Refresh();
-  stats_ = Stats{};
-  stats_.full_evals = 1;
-}
+    : q_(std::move(q)),
+      db_(db),
+      evaluator_(db),
+      result_(evaluator_.Evaluate(q_)) {}
 
 bool IncrementalView::Relevant(relational::RelationId rel) const {
   for (const Atom& atom : q_.atoms()) {
     if (atom.relation == rel) return true;
   }
   return false;
-}
-
-void IncrementalView::Refresh() {
-  result_ = evaluator_.Evaluate(q_);
-  ++stats_.full_evals;
 }
 
 void IncrementalView::OnInsert(const relational::Fact& f) {

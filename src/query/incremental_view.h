@@ -15,9 +15,9 @@ namespace qoco::query {
 /// The cleaning loop of Algorithm 4 applies one insert/delete edit per
 /// oracle round and then needs the refreshed view; re-evaluating Q from
 /// scratch each round makes the session quadratic in practice. An
-/// IncrementalView pays the full-evaluation cost once (at construction or
-/// Refresh) and maintains the cached EvalResult under single-fact deltas
-/// with the standard delta-rule decomposition for monotone queries:
+/// IncrementalView pays the full-evaluation cost once (at construction) and
+/// maintains the cached EvalResult under single-fact deltas with the
+/// standard delta-rule decomposition for monotone queries:
 ///
 ///  * insert of fact f into R: for every body atom over R, unify the atom
 ///    with f (pinning it) and search for extensions of that partial
@@ -54,12 +54,8 @@ class IncrementalView {
   /// Delta-maintains the view after `f` was erased from the database.
   void OnErase(const relational::Fact& f);
 
-  /// Full re-evaluation fallback (e.g. after out-of-band bulk loads).
-  void Refresh();
-
   /// Maintenance counters, for tests and benchmarks.
   struct Stats {
-    size_t full_evals = 0;     // construction + Refresh calls
     size_t insert_deltas = 0;  // OnInsert calls that ran the delta rule
     size_t erase_deltas = 0;   // OnErase calls that ran the delta rule
     size_t skipped_deltas = 0; // notifications for relations not in Q
@@ -100,12 +96,6 @@ class IncrementalUnionView {
 
   /// Distinct answers of the union, sorted.
   std::vector<relational::Tuple> AnswerTuples() const;
-
-  /// The maintained result of disjunct `i`.
-  const EvalResult& disjunct_result(size_t i) const {
-    return views_[i].result();
-  }
-  size_t num_disjuncts() const { return views_.size(); }
 
   /// Deduplicated witnesses of `t` across every disjunct that produces it
   /// (empty if t is not a union answer).

@@ -122,10 +122,6 @@ size_t Relation::CountRowsWithId(size_t column, ValueId id) const {
   return RowsWithId(column, id).size();
 }
 
-size_t Relation::CountRowsWithValue(size_t column, const Value& v) const {
-  return RowsWithValue(column, v).size();
-}
-
 std::vector<Value> Relation::ColumnDomain(size_t column) const {
   EnsureIndex(column);
   std::vector<Value> domain;

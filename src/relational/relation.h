@@ -99,11 +99,10 @@ class Relation {
                                              const Value& v) const;
 
   /// The whole per-column index (built on demand), for derived statistics:
-  /// the query planner's ColumnStats walks it once per relation version to
-  /// compute distinct counts, posting-size histograms, and sorted column
-  /// domains. Same validity contract as RowsWithId: the reference holds
-  /// until the next mutation of this relation. Precondition:
-  /// column < arity().
+  /// the query planner's ColumnStats reads each column's sorted domain once
+  /// per relation version. Same validity contract as RowsWithId: the
+  /// reference holds until the next mutation of this relation.
+  /// Precondition: column < arity().
   const IdPostingMap& ColumnPostings(size_t column) const {
     EnsureIndex(column);
     return column_index_[column];
@@ -114,7 +113,6 @@ class Relation {
   /// that only need a cardinality (e.g. join-order scoring) don't read as
   /// if they materialized anything. Precondition: column < arity().
   size_t CountRowsWithId(size_t column, ValueId id) const;
-  size_t CountRowsWithValue(size_t column, const Value& v) const;
 
   /// Distinct values appearing in `column`, in value order.
   std::vector<Value> ColumnDomain(size_t column) const;

@@ -1,5 +1,6 @@
 #include "src/relational/value.h"
 
+#include <charconv>
 #include <functional>
 
 namespace qoco::relational {
@@ -30,14 +31,12 @@ std::string Value::ToString() const {
   if (is_null()) return "NULL";
   if (is_int()) return std::to_string(AsInt());
   if (is_double()) {
-    std::string s = std::to_string(AsDouble());
-    // Trim trailing zeros but keep one digit after the point.
-    size_t dot = s.find('.');
-    if (dot != std::string::npos) {
-      size_t last = s.find_last_not_of('0');
-      if (last == dot) last = dot + 1;
-      s.erase(last + 1);
-    }
+    // Shortest form that parses back to the same double, so journals, CSV
+    // and question signatures keep every digit.
+    char buf[32] = {};
+    std::string s(buf, std::to_chars(buf, buf + sizeof(buf), AsDouble()).ptr);
+    // An integral value keeps a ".0" so it parses back as a double.
+    if (s.find_first_not_of("-0123456789") == std::string::npos) s += ".0";
     return s;
   }
   return AsString();

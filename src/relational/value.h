@@ -62,7 +62,9 @@ class Value {
     return a.data_ < b.data_;
   }
 
-  /// Renders the value for display: NULL, 42, 3.5, or a bare string.
+  /// Renders the value for display: NULL, 42, 3.5, or a bare string. A
+  /// double prints in its shortest round-trip form (0.1234567, 1e-07,
+  /// 1e+22), with a ".0" kept on integral values (3.0).
   std::string ToString() const;
 
   /// Stable hash over type tag and payload.

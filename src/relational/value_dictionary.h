@@ -69,7 +69,6 @@ class ValueDictionary {
   /// canonicalization, DistinctFacts) goes through this; raw id order is
   /// interning order and must never reach a transcript.
   int Compare(ValueId a, ValueId b) const;
-  bool Less(ValueId a, ValueId b) const { return Compare(a, b) < 0; }
 
   /// True iff `id` decodes to a value this dictionary can materialize.
   bool IsValidId(ValueId id) const {

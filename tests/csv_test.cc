@@ -40,6 +40,17 @@ TEST_F(CsvTest, RoundTripPreservesTypes) {
   EXPECT_TRUE(row[2].is_double());
 }
 
+TEST_F(CsvTest, DoublesRoundTripExactly) {
+  for (double d : {0.1234567, 1e-7, 3.0, 1e22, -1.25}) {
+    const std::string encoded = EncodeCsvField(Value(d));
+    const Value parsed = ParseCsvField(encoded, /*quoted=*/false);
+    // An integral double keeps a ".0", so it does not come back an int.
+    ASSERT_TRUE(parsed.is_double()) << encoded;
+    EXPECT_EQ(parsed.AsDouble(), d) << encoded;
+  }
+  EXPECT_EQ(EncodeCsvField(Value(3.0)), "3.0");
+}
+
 TEST_F(CsvTest, QuotingOfSpecialStrings) {
   ASSERT_TRUE(
       db_->Insert({r_, {Value("has,comma"), Value(1), Value(1.0)}}).ok());

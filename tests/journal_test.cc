@@ -73,6 +73,18 @@ TEST_F(JournalTest, TypesSurviveReplay) {
   EXPECT_FALSE(db_->Contains({r_, {Value("x"), Value("42")}}));
 }
 
+TEST_F(JournalTest, EraseOfADoubleReplays) {
+  // The journal keeps every digit of a double, so replaying an erase of a
+  // fact holding one removes that fact.
+  Fact f{r_, {Value("notes"), Value(0.1234567)}};
+  ASSERT_TRUE(db_->Insert(f).ok());
+  EditJournal journal;
+  journal.Append(false, f, catalog_);
+  ASSERT_TRUE(ReplayJournal(journal.contents(), db_.get()).ok());
+  EXPECT_FALSE(db_->Contains(f)) << journal.contents();
+  EXPECT_EQ(db_->TotalFacts(), 0u) << journal.contents();
+}
+
 TEST_F(JournalTest, ReplayIsIdempotent) {
   EditJournal journal;
   journal.Append(true, {r_, {Value("a"), Value(1)}}, catalog_);

@@ -100,44 +100,5 @@ TEST_F(SessionTest, UnionAndAggregateEntryPoints) {
   EXPECT_EQ(cleaned.AnswerTuples(*agg), truth.AnswerTuples(*agg));
 }
 
-// Regression test for the view-maintenance order hazard: Session applies
-// journaled edits to every monitored view, and that fan-out must not depend
-// on the order views were registered (the monitored-view map is unordered;
-// JournalEdits iterates a signature-sorted snapshot). Two sessions that
-// register the same views in opposite orders must produce byte-identical
-// journals, identical question counts, and identical view answers.
-TEST_F(SessionTest, ViewMaintenanceIsRegistrationOrderInvariant) {
-  relational::Database db_ab = *s_->dirty;
-  relational::Database db_ba = *s_->dirty;
-  Session ab(&db_ab, {oracle_.get()});
-  Session ba(&db_ba, {oracle_.get()});
-
-  // Register both views as monitored (EvaluateView materializes an
-  // incremental view per signature) in opposite orders.
-  ASSERT_TRUE(ab.EvaluateView(s_->q1).ok());
-  ASSERT_TRUE(ab.EvaluateView(s_->q2).ok());
-  ASSERT_TRUE(ba.EvaluateView(s_->q2).ok());
-  ASSERT_TRUE(ba.EvaluateView(s_->q1).ok());
-
-  // Cleaning q1 routes every edit through JournalEdits, which maintains
-  // both monitored views on each session.
-  auto stats_ab = ab.CleanView(s_->q1);
-  auto stats_ba = ba.CleanView(s_->q1);
-  ASSERT_TRUE(stats_ab.ok()) << stats_ab.status().ToString();
-  ASSERT_TRUE(stats_ba.ok()) << stats_ba.status().ToString();
-
-  EXPECT_EQ(ab.journal().contents(), ba.journal().contents());
-  EXPECT_EQ(ab.questions().verify_fact, ba.questions().verify_fact);
-  EXPECT_EQ(ab.questions().verify_answer, ba.questions().verify_answer);
-
-  auto q1_ab = ab.EvaluateView(s_->q1);
-  auto q1_ba = ba.EvaluateView(s_->q1);
-  auto q2_ab = ab.EvaluateView(s_->q2);
-  auto q2_ba = ba.EvaluateView(s_->q2);
-  ASSERT_TRUE(q1_ab.ok() && q1_ba.ok() && q2_ab.ok() && q2_ba.ok());
-  EXPECT_EQ(*q1_ab, *q1_ba);
-  EXPECT_EQ(*q2_ab, *q2_ba);
-}
-
 }  // namespace
 }  // namespace qoco

@@ -22,7 +22,6 @@
 
 #include "src/cleaning/cleaner.h"
 #include "src/cleaning/edit.h"
-#include "src/cleaning/union_cleaner.h"
 #include "src/common/rng.h"
 #include "src/crowd/crowd_panel.h"
 #include "src/crowd/imperfect_oracle.h"

@@ -1,7 +1,7 @@
 // Tests for the UCQ extension: cleaning a union of conjunctive queries
 // (Section 2 notes the paper's results extend to UCQs).
 
-#include "src/cleaning/union_cleaner.h"
+#include "src/cleaning/cleaner.h"
 
 #include <gtest/gtest.h>
 

@@ -147,7 +147,8 @@ bool SkipDirectory(const std::string& name) {
 }
 
 bool SourceExtension(const fs::path& p) {
-  return p.extension() == ".cc" || p.extension() == ".h";
+  return p.extension() == ".cc" || p.extension() == ".cpp" ||
+         p.extension() == ".h";
 }
 
 }  // namespace

@@ -14,8 +14,9 @@ namespace {
 constexpr const char* kUsage =
     "usage: qoco-analyze [options] [path...]\n"
     "\n"
-    "Scans *.cc/*.h under the given paths (default: src tests bench tools,\n"
-    "skipping testdata/ and build*/ trees) and reports rule violations as\n"
+    "Scans *.cc/*.cpp/*.h under the given paths (default: src tests bench\n"
+    "tools examples, skipping testdata/ and build*/ trees) and reports rule\n"
+    "violations as\n"
     "  file:line: [rule] message\n"
     "\n"
     "options:\n"
@@ -72,7 +73,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (paths.empty()) paths = {"src", "tests", "bench", "tools"};
+  if (paths.empty()) paths = {"src", "tests", "bench", "tools", "examples"};
 
   std::vector<std::string> scanned;
   std::string error;

@@ -8,7 +8,8 @@
 # analysis" for the catalog and suppression policy.
 #
 # Contract (unchanged from the grep era):
-#   tools/lint.sh [--verbose]   scan src tests bench tools; exit 0 iff clean
+#   tools/lint.sh [--verbose]   scan src tests bench tools examples; exit 0
+#                               iff clean
 #   tools/lint.sh --self-test   run the rule calibration; exit 0 iff it holds
 #
 # The wrapper reuses the cmake-built binary when it is fresh, and otherwise
@@ -50,4 +51,4 @@ fi
 
 args=()
 [[ "${1:-}" == "--verbose" ]] && args+=(--verbose)
-"$bin" --root . "${args[@]+"${args[@]}"}" src tests bench tools
+"$bin" --root . "${args[@]+"${args[@]}"}" src tests bench tools examples
