@@ -11,6 +11,16 @@ namespace qoco::cleaning {
 
 namespace {
 
+/// Cap on the subquery assignments examined per popped subquery; keeps
+/// crowd work bounded when an unselective subquery matches much of a
+/// relation.
+constexpr size_t kMaxAssignmentsPerSubquery = 64;
+
+/// Cap on COMPL(α, Q|t) tasks issued per popped subquery before moving on
+/// to finer splits (an unselective subquery's assignments are poor
+/// completion candidates; finer splits yield more focused ones).
+constexpr size_t kMaxCompleteTasksPerSubquery = 8;
+
 /// Key for deduplicating assignments offered to the crowd across
 /// subqueries (the same partial assignment can surface from different
 /// splits; a question is never repeated).
@@ -115,29 +125,10 @@ common::Result<InsertResult> AddMissingAnswer(
 
   // Lines 1-2: every all-constant atom of body(Q|t) occurs in *every*
   // witness of t, so given that t is a true answer these facts must be
-  // true; insert them outright.
-  {
-    query::Assignment none(q_t.num_vars(), &db->dict());
-    for (const query::Atom& atom : q_t.atoms()) {
-      bool ground = true;
-      for (const query::Term& term : atom.terms) {
-        if (term.is_variable()) ground = false;
-      }
-      if (!ground) continue;
-      std::optional<relational::Fact> fact = none.GroundAtom(atom);
-      if (!fact.has_value() || db->Contains(*fact)) continue;
-      if (config.constraints != nullptr) {
-        ConstraintEnforcer enforcer(config.constraints, crowd);
-        QOCO_ASSIGN_OR_RETURN(ConstraintEnforcer::Reconciliation outcome,
-                              enforcer.ReconcileInsertion(*fact, db));
-        out.edits.insert(out.edits.end(), outcome.edits.begin(),
-                         outcome.edits.end());
-        if (!outcome.admissible) continue;
-      }
-      QOCO_RETURN_NOT_OK(db->Insert(*fact).status());
-      out.edits.push_back(Edit::Insert(*fact));
-    }
-  }
+  // true; insert them outright. The empty assignment grounds exactly those
+  // atoms.
+  QOCO_RETURN_NOT_OK(
+      InsertGroundAtoms(q_t, empty, config, crowd, db, &out.edits));
 
   // Subqueries are explored most-selective first (fewest assignments over
   // D): their assignments are the most informative completion candidates,
@@ -145,7 +136,7 @@ common::Result<InsertResult> AddMissingAnswer(
   std::deque<query::CQuery> queue;
   auto push_split = [&](std::vector<query::CQuery> parts) {
     if (parts.size() == 2) {
-      size_t limit = config.max_assignments_per_subquery + 1;
+      size_t limit = kMaxAssignmentsPerSubquery + 1;
       size_t count0 = evaluator.FindExtensions(parts[0], empty, limit).size();
       size_t count1 = evaluator.FindExtensions(parts[1], empty, limit).size();
       if (count1 < count0) std::swap(parts[0], parts[1]);
@@ -161,9 +152,9 @@ common::Result<InsertResult> AddMissingAnswer(
     query::CQuery curr = std::move(queue.front());
     queue.pop_front();
 
-    std::vector<query::Assignment> assignments = evaluator.FindExtensions(
-        curr, empty, config.max_assignments_per_subquery);
-    size_t complete_tasks_left = config.max_complete_tasks_per_subquery;
+    std::vector<query::Assignment> assignments =
+        evaluator.FindExtensions(curr, empty, kMaxAssignmentsPerSubquery);
+    size_t complete_tasks_left = kMaxCompleteTasksPerSubquery;
     for (const query::Assignment& alpha : assignments) {
       if (!offered.insert(AssignmentKey(alpha)).second) continue;
       if (!crowd->VerifyPartialBody(q_t, alpha)) continue;

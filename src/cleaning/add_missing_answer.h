@@ -15,14 +15,6 @@ namespace qoco::cleaning {
 /// Tuning knobs for Algorithm 2.
 struct InsertionConfig {
   SplitStrategy strategy = SplitStrategy::kProvenance;
-  /// Cap on the subquery assignments examined per popped subquery; keeps
-  /// crowd work bounded when an unselective subquery matches much of a
-  /// relation.
-  size_t max_assignments_per_subquery = 64;
-  /// Cap on COMPL(α, Q|t) tasks issued per popped subquery before moving
-  /// on to finer splits (an unselective subquery's assignments are poor
-  /// completion candidates; finer splits yield more focused ones).
-  size_t max_complete_tasks_per_subquery = 8;
   /// When true, each candidate assignment is greedily extended with facts
   /// from D before the completion task is posted ("directing the crowd
   /// with facts existing in the underlying database", Section 5), reducing

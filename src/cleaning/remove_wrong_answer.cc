@@ -63,20 +63,11 @@ void EraseElementFromSets(int element, std::vector<std::vector<int>>* sets) {
   }
 }
 
-/// Elements that occur in some surviving set, with ties broken uniformly at
-/// random by `rng`, most frequent first selection.
+/// The element occurring in the most surviving sets, ties broken uniformly
+/// at random by `rng`.
 int PickMostFrequent(const std::vector<std::vector<int>>& sets,
                      common::Rng* rng) {
-  std::map<int, size_t> counts;
-  for (const auto& s : sets) {
-    for (int e : s) ++counts[e];
-  }
-  size_t best = 0;
-  for (const auto& [e, c] : counts) best = std::max(best, c);
-  std::vector<int> candidates;
-  for (const auto& [e, c] : counts) {
-    if (c == best) candidates.push_back(e);
-  }
+  std::vector<int> candidates = hittingset::MostFrequentElements(sets);
   return candidates[rng->Index(candidates.size())];
 }
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/relational/tuple.h"
+#include "src/relational/csv.h"
 
 namespace qoco::crowd {
 
@@ -20,7 +20,7 @@ std::string UnionSignature(const query::UnionQuery& q) {
   return sig;
 }
 
-/// Renders a partial assignment as "0=(v);3=(w);": slot index plus rendered
+/// Renders a partial assignment as "0=(v);3=(w);": slot index plus encoded
 /// value for every bound variable, in slot order.
 std::string BindingKey(const query::Assignment& a) {
   std::string key;
@@ -29,20 +29,20 @@ std::string BindingKey(const query::Assignment& a) {
     if (!a.IsBound(var)) continue;
     key += std::to_string(v);
     key += "=";
-    key += relational::TupleToString({a.ValueOf(var)});
+    key += relational::EncodeTupleKey({a.ValueOf(var)});
     key += ";";
   }
   return key;
 }
 
-/// Renders an enumeration context as its sorted tuple strings: the oracle's
+/// Renders an enumeration context as its sorted tuple keys: the oracle's
 /// answer depends on the *set* of already-known answers, so two sessions
 /// holding the same set in different orders ask the same question.
 std::string CurrentSetKey(const std::vector<relational::Tuple>& current) {
   std::vector<std::string> rendered;
   rendered.reserve(current.size());
   for (const relational::Tuple& t : current) {
-    rendered.push_back(relational::TupleToString(t));
+    rendered.push_back(relational::EncodeTupleKey(t));
   }
   std::sort(rendered.begin(), rendered.end());
   std::string key;
@@ -111,15 +111,15 @@ std::string Question::Signature() const {
   switch (kind) {
     case Kind::kIsFactTrue:
       sig = "F|" + scope + "|" + std::to_string(fact.relation) + "|" +
-            relational::TupleToString(fact.tuple);
+            relational::EncodeTupleKey(fact.tuple);
       break;
     case Kind::kIsAnswerTrue:
       sig = "A|" + scope + "|" + cquery.Signature() + "|" +
-            relational::TupleToString(tuple);
+            relational::EncodeTupleKey(tuple);
       break;
     case Kind::kIsUnionAnswerTrue:
       sig = "UA|" + scope + "|" + UnionSignature(union_query) + "|" +
-            relational::TupleToString(tuple);
+            relational::EncodeTupleKey(tuple);
       break;
     case Kind::kComplete:
       sig = "C|" + scope + "|" + cquery.Signature() + "|" +

@@ -57,7 +57,9 @@ struct Question {
                                 std::vector<relational::Tuple> current);
 
   /// Canonical content key: kind tag, scope, structural query signature and
-  /// rendered tuples/bindings. Catalog-free and stable across processes.
+  /// tuples/bindings encoded by relational::EncodeTupleKey, so values that
+  /// differ in type or hold separators never share a key. Catalog-free and
+  /// stable across processes.
   std::string Signature() const;
 };
 

@@ -5,6 +5,8 @@
 #include <functional>
 #include <set>
 
+#include "src/relational/csv.h"
+
 namespace qoco::crowd {
 
 CrowdPanel::CrowdPanel(std::vector<Oracle*> members, PanelConfig config)
@@ -129,7 +131,7 @@ namespace {
 
 std::string AnswerKey(const std::string& signature,
                       const relational::Tuple& t) {
-  return signature + "|" + relational::TupleToString(t);
+  return signature + "|" + relational::EncodeTupleKey(t);
 }
 
 }  // namespace

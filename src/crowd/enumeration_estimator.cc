@@ -4,50 +4,11 @@ namespace qoco::crowd {
 
 void EnumerationEstimator::RecordReply(
     const std::optional<relational::Tuple>& reply) {
-  if (!reply.has_value()) {
-    ++consecutive_nulls_;
-    return;
-  }
-  consecutive_nulls_ = 0;
-  ++total_observations_;
-  ++frequencies_[*reply];
+  consecutive_nulls_ = reply.has_value() ? 0 : consecutive_nulls_ + 1;
 }
 
 bool EnumerationEstimator::IsLikelyComplete() const {
   return consecutive_nulls_ >= nulls_to_stop_;
-}
-
-double EnumerationEstimator::Chao92Estimate() const {
-  // Chao92 (coverage-based): C = 1 - f1/n, N_hat = d / C adjusted by the
-  // coefficient of variation. With no observations or zero coverage the
-  // observed count is returned.
-  size_t n = total_observations_;
-  size_t d = frequencies_.size();
-  if (n == 0 || d == 0) return static_cast<double>(d);
-  size_t f1 = 0;
-  for (const auto& [tuple, count] : frequencies_) {
-    if (count == 1) ++f1;
-  }
-  double coverage = 1.0 - static_cast<double>(f1) / static_cast<double>(n);
-  if (coverage <= 0.0) {
-    // All observations are singletons; no basis for extrapolation beyond
-    // the classic n->infinity guard.
-    return static_cast<double>(d) * 2.0;
-  }
-  double n_hat = static_cast<double>(d) / coverage;
-  // Coefficient-of-variation correction term.
-  double sum = 0.0;
-  for (const auto& [tuple, count] : frequencies_) {
-    sum += static_cast<double>(count) * (static_cast<double>(count) - 1.0);
-  }
-  double gamma2 = 0.0;
-  if (n > 1) {
-    gamma2 = (n_hat / coverage) * sum /
-                 (static_cast<double>(n) * (static_cast<double>(n) - 1.0)) -
-             1.0;
-    if (gamma2 < 0.0) gamma2 = 0.0;
-  }
-  return n_hat + static_cast<double>(n) * (1.0 - coverage) / coverage * gamma2;
 }
 
 }  // namespace qoco::crowd

@@ -2,7 +2,6 @@
 #define QOCO_CROWD_ENUMERATION_ESTIMATOR_H_
 
 #include <cstddef>
-#include <map>
 #include <optional>
 
 #include "src/relational/tuple.h"
@@ -11,14 +10,9 @@ namespace qoco::crowd {
 
 /// The "enumeration black-box" of Section 6.1 (after Trushkowsky et al.
 /// [61]): decides when COMPL(Q(D)) questions should stop because the query
-/// result is complete with high probability.
-///
-/// Two signals are combined:
-///  * a run of `nulls_to_stop` consecutive "nothing is missing" replies
-///    (for a perfect oracle one null suffices), and
-///  * a Chao92-style species-richness estimate over the answers observed
-///    so far: when the estimated number of distinct answers does not
-///    exceed the number already observed, the result is likely complete.
+/// result is complete with high probability. It stops after a run of
+/// `nulls_to_stop` consecutive "nothing is missing" replies (for a perfect
+/// oracle one null suffices).
 class EnumerationEstimator {
  public:
   explicit EnumerationEstimator(size_t nulls_to_stop = 1)
@@ -30,21 +24,9 @@ class EnumerationEstimator {
   /// True when further enumeration questions are unnecessary.
   bool IsLikelyComplete() const;
 
-  /// Chao92 estimate of the total number of distinct answers, based on the
-  /// frequencies of answers observed so far. Returns the observed count
-  /// when no frequency information is available (no singletons math
-  /// possible yet).
-  double Chao92Estimate() const;
-
-  size_t distinct_observed() const { return frequencies_.size(); }
-  size_t total_observations() const { return total_observations_; }
-  size_t consecutive_nulls() const { return consecutive_nulls_; }
-
  private:
   size_t nulls_to_stop_;
   size_t consecutive_nulls_ = 0;
-  size_t total_observations_ = 0;
-  std::map<relational::Tuple, size_t> frequencies_;
 };
 
 }  // namespace qoco::crowd

@@ -62,34 +62,32 @@ std::optional<std::vector<int>> UniqueMinimalHittingSet(
   return unique;
 }
 
-int MostFrequentElement(const std::vector<std::vector<int>>& sets) {
+std::vector<int> MostFrequentElements(
+    const std::vector<std::vector<int>>& sets) {
   std::vector<int> elements;
   for (const auto& s : sets) {
-    for (int e : s) elements.push_back(e);
+    elements.insert(elements.end(), s.begin(), s.end());
   }
-  if (elements.empty()) return -1;
   std::sort(elements.begin(), elements.end());
-  int best_element = -1;
-  int best_count = 0;
-  int current = elements.front();
-  int count = 0;
-  for (int e : elements) {
-    if (e == current) {
-      ++count;
-    } else {
-      if (count > best_count) {
-        best_count = count;
-        best_element = current;
-      }
-      current = e;
-      count = 1;
+  std::vector<int> best;
+  size_t best_count = 0;
+  for (auto run = elements.begin(); run != elements.end();) {
+    auto run_end = std::find_if(run, elements.end(),
+                                [&](int e) { return e != *run; });
+    const auto count = static_cast<size_t>(run_end - run);
+    if (count > best_count) {
+      best_count = count;
+      best.clear();
     }
+    if (count == best_count) best.push_back(*run);
+    run = run_end;
   }
-  if (count > best_count) {
-    best_count = count;
-    best_element = current;
-  }
-  return best_element;
+  return best;
+}
+
+int MostFrequentElement(const std::vector<std::vector<int>>& sets) {
+  std::vector<int> best = MostFrequentElements(sets);
+  return best.empty() ? -1 : best.front();
 }
 
 std::vector<int> GreedyHittingSet(const Instance& instance) {

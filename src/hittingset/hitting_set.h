@@ -10,7 +10,7 @@ namespace qoco::hittingset {
 
 /// A hitting-set instance (U, S): universe elements are ints
 /// [0, num_elements); each set is a vector of elements (order is
-/// irrelevant; duplicates within a set only skew MostFrequentElement
+/// irrelevant; duplicates within a set only skew MostFrequentElements
 /// counts). In Section 4 the universe is the facts appearing in witnesses
 /// of a wrong answer and the sets are the witnesses.
 struct Instance {
@@ -31,9 +31,13 @@ bool IsMinimalHittingSet(const Instance& instance, const std::vector<int>& h);
 std::optional<std::vector<int>> UniqueMinimalHittingSet(
     const Instance& instance);
 
-/// The element occurring in the largest number of sets (ties broken toward
-/// the smallest element id, for determinism). Returns -1 if there are no
-/// sets. This is the greedy selection rule of Algorithm 1.
+/// Every element occurring in the largest number of sets, in ascending
+/// order; empty if the sets hold no element. This is the greedy selection
+/// rule of Algorithm 1: a cleaning session draws one of them with its rng.
+std::vector<int> MostFrequentElements(
+    const std::vector<std::vector<int>>& sets);
+
+/// The smallest of MostFrequentElements(sets), or -1 if there is none.
 int MostFrequentElement(const std::vector<std::vector<int>>& sets);
 
 /// Greedy hitting set: repeatedly take the most frequent element and drop

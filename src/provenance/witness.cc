@@ -26,8 +26,7 @@ Witness::Witness(const std::vector<relational::Fact>& facts,
 }
 
 bool Witness::Contains(const IFact& fact) const {
-  return std::binary_search(facts_.begin(), facts_.end(), fact,
-                            IdFactLess{dict_});
+  return std::find(facts_.begin(), facts_.end(), fact) != facts_.end();
 }
 
 std::vector<relational::Fact> Witness::MaterializeFacts() const {

@@ -37,7 +37,8 @@ class Witness {
   size_t size() const { return facts_.size(); }
   bool empty() const { return facts_.empty(); }
 
-  /// True iff the witness contains `fact`.
+  /// True iff the witness contains `fact`. A linear id compare: a witness
+  /// holds at most one fact per query atom.
   bool Contains(const relational::IFact& fact) const;
 
   /// Materializes the facts back to value space, preserving order.

@@ -14,7 +14,8 @@
 namespace qoco::query {
 
 /// One answer tuple together with its valid assignments A(t, Q, D) and its
-/// (deduplicated) witnesses wit(A(t, Q, D)).
+/// (deduplicated) witnesses wit(A(t, Q, D)). Evaluator::Evaluate fills
+/// both; an IncrementalView keeps the witnesses only.
 struct AnswerInfo {
   relational::Tuple tuple;
   std::vector<Assignment> assignments;

@@ -35,25 +35,19 @@ bool PinAtomToTuple(const Atom& atom, const relational::ITuple& tuple,
   return true;
 }
 
-/// True iff assignment `a` maps some atom of `q` over f.relation to `f` —
-/// i.e. f belongs to the witness of `a`.
-bool AssignmentUsesFact(const CQuery& q, const Assignment& a,
-                        const relational::IFact& f) {
-  for (const Atom& atom : q.atoms()) {
-    if (atom.relation != f.relation) continue;
-    std::optional<relational::IFact> ground = a.GroundAtomIds(atom);
-    if (ground.has_value() && ground->tuple == f.tuple) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 IncrementalView::IncrementalView(CQuery q, const relational::Database* db)
     : q_(std::move(q)),
       db_(db),
       evaluator_(db),
-      result_(evaluator_.Evaluate(q_)) {}
+      result_(evaluator_.Evaluate(q_)) {
+  // The view keeps answers and witness sets only. Assigning a fresh vector
+  // (unlike clear()) also frees the lists' memory.
+  for (AnswerInfo& info : result_.mutable_answers()) {
+    info.assignments = std::vector<Assignment>();
+  }
+}
 
 bool IncrementalView::Relevant(relational::RelationId rel) const {
   for (const Atom& atom : q_.atoms()) {
@@ -80,20 +74,15 @@ void IncrementalView::OnInsert(const relational::Fact& f) {
     if (atom.relation != f.relation) continue;
     Assignment pinned(q_.num_vars(), &db_->dict());
     if (!PinAtomToTuple(atom, fi->tuple, &pinned)) continue;
-    std::vector<Assignment> found =
-        evaluator_.FindExtensions(q_, pinned, /*limit=*/0);
-    for (Assignment& a : found) {
+    for (const Assignment& a :
+         evaluator_.FindExtensions(q_, pinned, /*limit=*/0)) {
       std::optional<relational::Tuple> answer = a.ApplyHead(q_.head());
       if (!answer.has_value()) continue;
-      AnswerInfo* info = result_.FindOrInsert(*answer);
-      // Merge-dedup: the same assignment surfaces once per atom it pins f
-      // at, and again if the caller replays an already-seen notification.
-      if (std::find(info->assignments.begin(), info->assignments.end(), a) !=
-          info->assignments.end()) {
-        continue;
-      }
-      EvalResult::AddWitnessIfNew(info, Evaluator::WitnessFor(q_, a));
-      info->assignments.push_back(std::move(a));
+      // Merge-dedup on the witness: the same assignment surfaces once per
+      // atom it pins f at, and again if the caller replays an already-seen
+      // notification; either way its witness is already listed.
+      EvalResult::AddWitnessIfNew(result_.FindOrInsert(*answer),
+                                  Evaluator::WitnessFor(q_, a));
     }
   }
 }
@@ -110,25 +99,18 @@ void IncrementalView::OnErase(const relational::Fact& f) {
   std::optional<relational::IFact> fi =
       relational::FindFact(f, db_->dict());
   if (!fi.has_value()) return;
-  // Delta rule, delete side: drop every assignment whose witness contains
-  // f, filter the witness lists of answers that lost assignments, and
-  // erase answers whose assignment set becomes empty.
+  // Delta rule, delete side: an assignment uses f iff its witness holds f,
+  // so dropping the witnesses that hold f keeps exactly the surviving
+  // assignments' witnesses, in first-occurrence order. An answer left with
+  // no witness has lost its last assignment and is erased.
   std::vector<AnswerInfo>& answers = result_.mutable_answers();
   for (AnswerInfo& info : answers) {
-    size_t before = info.assignments.size();
-    std::erase_if(info.assignments, [&](const Assignment& a) {
-      return AssignmentUsesFact(q_, a, *fi);
-    });
-    if (info.assignments.size() == before) continue;
-    // An assignment uses f iff f is in its witness, so the assignments that
-    // share a witness are dropped or kept together: filtering the witness
-    // list keeps exactly the survivors' witnesses in first-occurrence order.
     std::erase_if(info.witnesses, [&](const provenance::Witness& w) {
       return w.Contains(*fi);
     });
   }
   std::erase_if(answers,
-                [](const AnswerInfo& info) { return info.assignments.empty(); });
+                [](const AnswerInfo& info) { return info.witnesses.empty(); });
 }
 
 common::Status IncrementalView::AuditInvariants() const {
@@ -142,9 +124,9 @@ common::Status IncrementalView::AuditInvariants() const {
     if (i + 1 < answers.size() && !(info.tuple < answers[i + 1].tuple)) {
       audit.Violation() << "answers not strictly sorted at " << tuple;
     }
-    if (info.assignments.empty()) {
-      audit.Violation() << "answer " << tuple
-                        << " has no assignments (survived GC empty)";
+    if (!info.assignments.empty()) {
+      audit.Violation() << "answer " << tuple << " caches "
+                        << info.assignments.size() << " assignments";
     }
     if (info.witnesses.empty()) {
       audit.Violation() << "answer " << tuple << " has no witnesses";
@@ -159,29 +141,6 @@ common::Status IncrementalView::AuditInvariants() const {
                                                                db_->dict()));
         }
       }
-    }
-    // The witness list must be the first-occurrence dedup of the cached
-    // assignments' witnesses, in order: hitting-set element numbers (and
-    // so transcripts) follow it.
-    provenance::WitnessSet first_occurrence;
-    for (const Assignment& a : info.assignments) {
-      std::optional<relational::Tuple> head = a.ApplyHead(q_.head());
-      if (!head.has_value() || *head != info.tuple) {
-        audit.Violation() << "answer " << tuple
-                          << " caches an assignment grounding to a "
-                          << "different head";
-        continue;
-      }
-      provenance::Witness w = Evaluator::WitnessFor(q_, a);
-      if (std::find(first_occurrence.begin(), first_occurrence.end(), w) ==
-          first_occurrence.end()) {
-        first_occurrence.push_back(std::move(w));
-      }
-    }
-    if (info.witnesses != first_occurrence) {
-      audit.Violation() << "witnesses of " << tuple
-                        << " are not its assignments' witnesses in first "
-                        << "occurrence order";
     }
   }
 
@@ -208,20 +167,6 @@ common::Status IncrementalView::AuditInvariants() const {
     if (got_w != want_w) {
       audit.Violation() << "witness set of " << tuple
                         << " differs from from-scratch evaluation";
-    }
-    if (got->assignments.size() != want.assignments.size()) {
-      audit.Violation() << "answer " << tuple << " caches "
-                        << got->assignments.size() << " assignments, "
-                        << "from-scratch evaluation finds "
-                        << want.assignments.size();
-      continue;
-    }
-    for (const Assignment& a : want.assignments) {
-      if (std::find(got->assignments.begin(), got->assignments.end(), a) ==
-          got->assignments.end()) {
-        audit.Violation() << "an assignment of " << tuple
-                          << " is missing from the view";
-      }
     }
   }
   for (const AnswerInfo& info : answers) {

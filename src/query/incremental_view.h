@@ -15,23 +15,28 @@ namespace qoco::query {
 /// The cleaning loop of Algorithm 4 applies one insert/delete edit per
 /// oracle round and then needs the refreshed view; re-evaluating Q from
 /// scratch each round makes the session quadratic in practice. An
-/// IncrementalView pays the full-evaluation cost once (at construction) and
-/// maintains the cached EvalResult under single-fact deltas with the
-/// standard delta-rule decomposition for monotone queries:
+/// IncrementalView pays the full-evaluation cost once (at construction),
+/// keeps each answer's tuple and witness set (the assignment lists the
+/// evaluation built them from are released), and maintains both under
+/// single-fact deltas with the standard delta-rule decomposition for
+/// monotone queries:
 ///
 ///  * insert of fact f into R: for every body atom over R, unify the atom
 ///    with f (pinning it) and search for extensions of that partial
 ///    assignment over the *current* database; every extension found is a
-///    new valid assignment whose witness contains f. Deduplication across
-///    atoms (an assignment may pin f at several atoms) and against the
-///    cached result (notifications are idempotent) happens on merge.
+///    new valid assignment whose witness contains f. Its witness is merged
+///    unless already listed, which dedups across atoms (an assignment may
+///    pin f at several atoms) and makes notifications idempotent.
 ///  * delete of f: every valid assignment that maps some atom to f has
-///    lost its witness; drop those assignments, drop the witnesses that
-///    contain f, and erase answers left with no assignment.
+///    lost its witness, and an assignment maps an atom to f iff its witness
+///    holds f; drop the witnesses that hold f, and erase answers left with
+///    no witness.
 ///
 /// Both rules are exact for conjunctive queries with inequalities (the
 /// query language of the paper): inserts never remove answers and deletes
 /// never add them, so the two deltas compose to the from-scratch result.
+/// Each witness list stays in first-occurrence order: Evaluate's order for
+/// the witnesses it found, then discovery order for later inserts.
 ///
 /// Notify AFTER the database mutation: OnInsert(f) once f is in D,
 /// OnErase(f) once it is gone. Notifications are idempotent and, for a
@@ -45,7 +50,8 @@ class IncrementalView {
   const CQuery& query() const { return q_; }
 
   /// The maintained Q(D) with provenance (answers sorted by tuple, same
-  /// invariant as Evaluator::Evaluate).
+  /// invariant as Evaluator::Evaluate). Every AnswerInfo::assignments is
+  /// empty.
   const EvalResult& result() const { return result_; }
 
   /// Delta-maintains the view after `f` was inserted into the database.
@@ -63,13 +69,11 @@ class IncrementalView {
   const Stats& stats() const { return stats_; }
 
   /// Deep audit of the maintained result: answers strictly sorted, no
-  /// answer without assignments or witnesses survived GC, every cached
-  /// witness is over live facts, each answer's witness list equals, in
-  /// order, the first-occurrence dedup of its assignments' witnesses, and
-  /// the whole cached EvalResult (answer set, witness sets, assignment
-  /// sets) equals a from-scratch evaluation of the query. Costs
-  /// one full evaluation — debug/fuzz tooling, not the hot path. Does not
-  /// touch stats(). Returns OK or kInternal listing every violation.
+  /// answer caches assignments or has no witness, every cached witness is
+  /// over live facts, and the answer set and each answer's witness set
+  /// equal a from-scratch evaluation of the query. Costs one full
+  /// evaluation — debug/fuzz tooling, not the hot path. Does not touch
+  /// stats(). Returns OK or kInternal listing every violation.
   common::Status AuditInvariants() const;
 
  private:

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <set>
 
+#include "src/relational/csv.h"
+
 namespace qoco::query {
 
 namespace {
@@ -194,7 +196,7 @@ std::string CQuery::ToString(const relational::Catalog& catalog) const {
 std::string CQuery::Signature() const {
   auto term_sig = [](const Term& t) {
     return t.is_variable() ? "v" + std::to_string(t.var())
-                           : "c" + t.constant().ToString();
+                           : "c" + relational::EncodeCsvField(t.constant());
   };
   std::string sig;
   for (const Term& t : head_) sig += term_sig(t) + ",";

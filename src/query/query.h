@@ -103,9 +103,10 @@ class CQuery {
   /// names, e.g. "(x) :- Games(d1, x, y, 'Final', u1), ..., d1 != d2".
   std::string ToString(const relational::Catalog& catalog) const;
 
-  /// A catalog-free structural key (relation ids, variable ids, constants)
-  /// that identifies the query for caching. Structurally equal queries
-  /// over the same catalog share a signature.
+  /// A catalog-free structural key (relation ids, variable ids, constants
+  /// encoded by relational::EncodeCsvField) that identifies the query for
+  /// caching. Structurally equal queries over the same catalog share a
+  /// signature.
   std::string Signature() const;
 
  private:

@@ -12,7 +12,8 @@ namespace qoco::relational {
 namespace {
 
 bool NeedsQuoting(const std::string& s) {
-  if (s.empty()) return true;
+  // A bare NULL reads back as the null value.
+  if (s.empty() || s == "NULL") return true;
   for (char c : s) {
     if (c == ',' || c == '"' || c == '\n' || c == '\r' || c == '\t') {
       return true;
@@ -152,6 +153,7 @@ common::Status SplitRecordImpl(std::string_view line,
 Value ParseFieldImpl(const std::string& raw, bool quoted) {
   if (quoted) return Value(raw);
   if (raw.empty()) return Value(std::string());
+  if (raw == "NULL") return Value();
   char* end = nullptr;
   errno = 0;
   long long as_int = std::strtoll(raw.c_str(), &end, 10);
@@ -222,6 +224,16 @@ std::string DatabaseToCsv(const Database& db) {
 }
 
 std::string EncodeCsvField(const Value& v) { return EncodeFieldImpl(v); }
+
+std::string EncodeTupleKey(const Tuple& t) {
+  std::string out = "(";
+  for (size_t i = 0; i < t.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += EncodeFieldImpl(t[i]);
+  }
+  out += ")";
+  return out;
+}
 
 common::Status SplitCsvRecord(std::string_view line,
                               std::vector<std::string>* fields,

@@ -12,18 +12,18 @@ namespace qoco::relational {
 
 /// Serializes one relation as CSV: a header row of attribute names followed
 /// by one row per tuple, in storage order. Strings containing commas, quotes,
-/// newlines or tabs, or starting or ending with a space, are double-quoted
-/// with "" escaping; integers and doubles are printed bare. Rows are
-/// rendered from their ids: each distinct value is encoded once per call
-/// (EncodeCsvField), so the output is exactly the EncodeCsvField rendering
-/// of every materialized field.
+/// newlines or tabs, starting or ending with a space, or spelling a number
+/// or NULL, are double-quoted with "" escaping; integers, doubles and NULL
+/// are printed bare. Rows are rendered from their ids: each distinct value
+/// is encoded once per call (EncodeCsvField), so the output is exactly the
+/// EncodeCsvField rendering of every materialized field.
 std::string RelationToCsv(const Database& db, RelationId id);
 
 /// Parses CSV `text` (with header row, which is validated against the
 /// schema) and inserts every row into relation `id` of `db`. A record ends
 /// at a newline outside double quotes, so quoted fields may span lines.
-/// Fields that parse as int64 become integers, then doubles, otherwise
-/// strings.
+/// A bare NULL becomes the null value; other fields that parse as int64
+/// become integers, then doubles, otherwise strings.
 common::Status LoadRelationFromCsv(std::string_view text, RelationId id,
                                    Database* db);
 
@@ -40,6 +40,12 @@ common::Status LoadDatabaseFromCsv(std::string_view text, Database* db);
 /// be ambiguous). Building block shared with the edit journal.
 std::string EncodeCsvField(const Value& v);
 
+/// Renders `t` in TupleToString's "(a, b)" frame with every value encoded
+/// by EncodeCsvField, so two different tuples of one arity never render
+/// alike (TupleToString drops types and leaves separators unquoted). The
+/// form crowd question signatures and answer-cache keys use.
+std::string EncodeTupleKey(const Tuple& t);
+
 /// The CSV record of `text` that starts at `*pos`: everything up to the
 /// next newline outside double quotes, so a quoted field may span lines.
 /// Advances `*pos` past that newline. Shared with the edit journal.
@@ -51,8 +57,8 @@ common::Status SplitCsvRecord(std::string_view line,
                               std::vector<std::string>* fields,
                               std::vector<bool>* was_quoted);
 
-/// Decodes a raw CSV field into a typed value (ints, then doubles, then
-/// strings; quoted fields always strings).
+/// Decodes a raw CSV field into a typed value (a bare NULL, ints, then
+/// doubles, then strings; quoted fields always strings).
 Value ParseCsvField(const std::string& raw, bool quoted);
 
 }  // namespace qoco::relational

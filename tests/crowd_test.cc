@@ -1,9 +1,13 @@
 // Unit tests for the crowd layer: the simulated (perfect) oracle, the
 // imperfect oracle's seeded error behaviour, the panel's majority voting,
-// question caching and accounting, and the enumeration estimator.
+// question caching and accounting, question signatures, and the
+// enumeration estimator.
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "src/crowd/async_oracle.h"
 #include "src/crowd/crowd_panel.h"
 #include "src/crowd/enumeration_estimator.h"
 #include "src/crowd/imperfect_oracle.h"
@@ -266,6 +270,58 @@ TEST(CrowdPanelTest, ImperfectCompletionRejectedByVerification) {
   }
 }
 
+/// A catalog with one binary relation R, for signature and cache-key tests.
+class SignatureTest : public ::testing::Test {
+ protected:
+  void SetUp() override { r_ = *catalog_.AddRelation("R", {"a", "b"}); }
+
+  query::CQuery Parse(const std::string& text) {
+    auto q = query::ParseQuery(text, catalog_);
+    EXPECT_TRUE(q.ok()) << q.status().ToString();
+    return std::move(q).value();
+  }
+
+  relational::Catalog catalog_;
+  relational::RelationId r_ = relational::kInvalidRelation;
+};
+
+TEST_F(SignatureTest, ValuesOfDifferentTypeOrWithCommasSignApart) {
+  auto fact = [&](Value a, Value b) {
+    return Question::FactTrue({r_, {std::move(a), std::move(b)}}).Signature();
+  };
+  EXPECT_NE(fact(Value("a, b"), Value("c")), fact(Value("a"), Value("b, c")));
+  EXPECT_NE(fact(Value(5), Value("c")), fact(Value("5"), Value("c")));
+  EXPECT_NE(fact(Value(), Value("c")), fact(Value("NULL"), Value("c")));
+  // Values that need no quoting keep their display rendering.
+  EXPECT_EQ(fact(Value("a"), Value(5)), "F||0|(a, 5)");
+
+  const query::CQuery q = Parse("(x, y) :- R(x, y).");
+  EXPECT_NE(Question::AnswerTrue(q, {Value("a, b"), Value("c")}).Signature(),
+            Question::AnswerTrue(q, {Value("a"), Value("b, c")}).Signature());
+  EXPECT_NE(
+      Question::MissingAnswer(q, {{Value("a, b"), Value("c")}}).Signature(),
+      Question::MissingAnswer(q, {{Value("a"), Value("b, c")}}).Signature());
+  query::Assignment five(q.num_vars(), &catalog_.dict());
+  query::Assignment five_text = five;
+  five.Bind(0, Value(5));
+  five_text.Bind(0, Value("5"));
+  EXPECT_NE(Question::Complete(q, five).Signature(),
+            Question::Complete(q, five_text).Signature());
+  EXPECT_NE(Parse("(x) :- R(x, 5).").Signature(),
+            Parse("(x) :- R(x, '5').").Signature());
+}
+
+TEST_F(SignatureTest, PanelAsksAgainForATupleThatOnlyRendersAlike) {
+  relational::Database truth(&catalog_);
+  ASSERT_TRUE(truth.Insert({r_, {Value("a, b"), Value("c")}}).ok());
+  SimulatedOracle oracle(&truth);
+  CrowdPanel panel({&oracle}, PanelConfig{1});
+  const query::CQuery q = Parse("(x, y) :- R(x, y).");
+  EXPECT_TRUE(panel.VerifyAnswer(q, {Value("a, b"), Value("c")}));
+  EXPECT_FALSE(panel.VerifyAnswer(q, {Value("a"), Value("b, c")}));
+  EXPECT_EQ(panel.counts().verify_answer, 2u);
+}
+
 TEST(EnumerationEstimatorTest, StopsAfterConfiguredNulls) {
   EnumerationEstimator estimator(2);
   EXPECT_FALSE(estimator.IsLikelyComplete());
@@ -276,26 +332,6 @@ TEST(EnumerationEstimatorTest, StopsAfterConfiguredNulls) {
   EXPECT_FALSE(estimator.IsLikelyComplete());
   estimator.RecordReply(std::nullopt);
   EXPECT_TRUE(estimator.IsLikelyComplete());
-}
-
-TEST(EnumerationEstimatorTest, Chao92WithRepeatsConverges) {
-  EnumerationEstimator estimator(1);
-  // Every answer observed three times: coverage is high, so the estimate
-  // should be close to the observed distinct count.
-  for (int rep = 0; rep < 3; ++rep) {
-    for (int i = 0; i < 5; ++i) {
-      estimator.RecordReply(Tuple{Value(i)});
-    }
-  }
-  EXPECT_EQ(estimator.distinct_observed(), 5u);
-  EXPECT_NEAR(estimator.Chao92Estimate(), 5.0, 0.5);
-}
-
-TEST(EnumerationEstimatorTest, AllSingletonsEstimateHigh) {
-  EnumerationEstimator estimator(1);
-  for (int i = 0; i < 5; ++i) estimator.RecordReply(Tuple{Value(i)});
-  EXPECT_GT(estimator.Chao92Estimate(),
-            static_cast<double>(estimator.distinct_observed()));
 }
 
 }  // namespace

@@ -29,15 +29,20 @@ class CsvTest : public ::testing::Test {
 TEST_F(CsvTest, RoundTripPreservesTypes) {
   ASSERT_TRUE(db_->Insert({r_, {Value("alice"), Value(3), Value(0.5)}}).ok());
   ASSERT_TRUE(db_->Insert({r_, {Value("bob"), Value(-7), Value(1.25)}}).ok());
+  // A NULL and the string "NULL" are different values.
+  ASSERT_TRUE(db_->Insert({r_, {Value(), Value(1), Value()}}).ok());
+  ASSERT_TRUE(db_->Insert({r_, {Value("NULL"), Value(2), Value(2.5)}}).ok());
   std::string csv = RelationToCsv(*db_, r_);
 
   Database reloaded(&catalog_);
   ASSERT_TRUE(LoadRelationFromCsv(csv, r_, &reloaded).ok());
-  EXPECT_EQ(reloaded.Distance(*db_), 0u);
+  EXPECT_EQ(reloaded.Distance(*db_), 0u) << csv;
   // Types survived: the count column is int, ratio is double.
   const Tuple row = reloaded.relation(r_).MaterializeRow(0);
   EXPECT_TRUE(row[1].is_int());
   EXPECT_TRUE(row[2].is_double());
+  EXPECT_TRUE(reloaded.relation(r_).MaterializeRow(2)[0].is_null()) << csv;
+  EXPECT_TRUE(reloaded.relation(r_).MaterializeRow(3)[0].is_string()) << csv;
 }
 
 TEST_F(CsvTest, DoublesRoundTripExactly) {
@@ -143,6 +148,7 @@ TEST_F(CsvTest, IdSpaceWriterMatchesMaterializedEncoding) {
       Value("123"),
       Value("1e5"),
       Value("inf"),
+      Value("NULL"),
       Value(" 12"),
       Value(""),
       Value("has,comma"),

@@ -54,6 +54,14 @@ TEST(HittingSetTest, MostFrequentElement) {
   EXPECT_EQ(MostFrequentElement({}), -1);
   // Ties break toward the smallest element id.
   EXPECT_EQ(MostFrequentElement({{3}, {5}}), 3);
+  EXPECT_EQ(MostFrequentElement({{}, {}}), -1);
+  // MostFrequentElements lists every tie, ascending.
+  EXPECT_EQ(MostFrequentElements({{0, 1}, {1, 2}, {1}}), std::vector<int>{1});
+  EXPECT_EQ(MostFrequentElements({{5}, {3}}), (std::vector<int>{3, 5}));
+  EXPECT_EQ(MostFrequentElements({{5, 1}, {1, 5}, {2}}),
+            (std::vector<int>{1, 5}));
+  EXPECT_TRUE(MostFrequentElements({}).empty());
+  EXPECT_TRUE(MostFrequentElements({{}, {}}).empty());
 }
 
 TEST(HittingSetTest, GreedyProducesValidHittingSet) {

@@ -64,13 +64,26 @@ TEST_F(JournalTest, SpecialCharactersRoundTrip) {
 
 TEST_F(JournalTest, TypesSurviveReplay) {
   Fact f{r_, {Value("x"), Value(42)}};
+  Fact null_fact{r_, {Value("y"), Value()}};
+  Fact null_text{r_, {Value("y"), Value("NULL")}};
   EditJournal journal;
   journal.Append(true, f, catalog_);
+  journal.Append(true, null_fact, catalog_);
+  journal.Append(true, null_text, catalog_);
   ASSERT_TRUE(ReplayJournal(journal.contents(), db_.get()).ok());
   // The integer stayed an integer: the string "42" would be a different
   // fact.
   EXPECT_TRUE(db_->Contains(f));
   EXPECT_FALSE(db_->Contains({r_, {Value("x"), Value("42")}}));
+  // A NULL stayed apart from the string "NULL", so a replayed erase of the
+  // fact holding it removes that fact only.
+  EXPECT_TRUE(db_->Contains(null_fact)) << journal.contents();
+  EXPECT_TRUE(db_->Contains(null_text)) << journal.contents();
+  EditJournal erase;
+  erase.Append(false, null_fact, catalog_);
+  ASSERT_TRUE(ReplayJournal(erase.contents(), db_.get()).ok());
+  EXPECT_FALSE(db_->Contains(null_fact)) << erase.contents();
+  EXPECT_TRUE(db_->Contains(null_text)) << erase.contents();
 }
 
 TEST_F(JournalTest, EraseOfADoubleReplays) {

@@ -400,6 +400,28 @@ TEST_F(ServiceTest, BrokerDedupsInFlightAndCachesAnswers) {
   EXPECT_EQ(broker.SessionStats(3).cache_hits, 1u);
 }
 
+TEST_F(ServiceTest, BrokerKeepsFactsThatOnlyRenderAlikeApart) {
+  // Teams("a, b", "c") and Teams("a", "b, c") print alike; they are two
+  // questions, so the broker issues both.
+  FakeClock clock;
+  crowd::SimulatedOracle sim(s_->ground_truth.get());
+  TestAsyncOracle oracle(&sim, &clock);
+  QuestionBroker broker(&oracle, &clock);
+  size_t answered = 0;
+  auto record = [&](common::Result<Answer> r) {
+    ASSERT_TRUE(r.ok());
+    ++answered;
+  };
+  broker.Ask(1, Question::FactTrue({s_->teams, {Value("a, b"), Value("c")}}),
+             record);
+  broker.Ask(2, Question::FactTrue({s_->teams, {Value("a"), Value("b, c")}}),
+             record);
+  clock.AdvanceTo(10);
+  EXPECT_EQ(answered, 2u);
+  EXPECT_EQ(broker.DistinctQuestions(), 2u);
+  EXPECT_EQ(oracle.TotalIssues(), 2u);
+}
+
 TEST_F(ServiceTest, BrokerTimeoutBacksOffDoublingThenFailsCleanly) {
   FakeClock clock;
   crowd::SimulatedOracle sim(s_->ground_truth.get());
