@@ -9,6 +9,7 @@
 #include "src/crowd/crowd_panel.h"
 #include "src/crowd/simulated_oracle.h"
 #include "src/exp/experiment.h"
+#include "src/query/evaluator.h"
 #include "src/workload/noise.h"
 #include "src/workload/soccer.h"
 
@@ -47,15 +48,18 @@ int main() {
         crowd::CrowdPanel panel({&oracle}, panel_config);
         relational::Database db = planted->db;
         common::Rng rng(seed);
+        query::Evaluator eval(&db);
         for (const relational::Tuple& wrong : planted->wrong) {
-          auto removal = cleaning::RemoveWrongAnswer(
-              *q, db, wrong, &panel, cleaning::DeletionPolicy::kQoco, &rng);
+          query::EvalResult evaluated = eval.Evaluate(*q);
+          const query::AnswerInfo* info = evaluated.Find(wrong);
+          if (info == nullptr) continue;  // An earlier removal took it out.
+          auto removal = cleaning::RemoveWrongAnswerFromWitnesses(
+              info->witnesses, &panel, cleaning::DeletionPolicy::kQoco, &rng);
           if (!removal.ok()) return 1;
           if (!cleaning::ApplyEdits(removal->edits, &db).ok()) return 1;
           edits += static_cast<double>(removal->edits.size());
         }
         questions += static_cast<double>(panel.counts().verify_fact);
-        query::Evaluator eval(&db);
         for (const relational::Tuple& wrong : planted->wrong) {
           if (eval.Evaluate(*q).ContainsAnswer(wrong)) all_converged = false;
         }

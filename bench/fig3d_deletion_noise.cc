@@ -50,6 +50,10 @@ int main() {
       row.questions = r->verify_fact;
       row.avoided = r->deletion_upper - r->verify_fact;
       rows.push_back(row);
+      if (r->final_result_distance != 0) {
+        std::fprintf(stderr, "warning: %s/%s did not converge\n",
+                     row.group.c_str(), row.algorithm.c_str());
+      }
     }
   }
   exp::PrintFigure(

@@ -51,6 +51,10 @@ int main() {
       row.questions = r->filled_vars;
       row.avoided = r->insertion_upper - r->filled_vars;
       rows.push_back(row);
+      if (r->final_result_distance != 0) {
+        std::fprintf(stderr, "warning: %s/%s did not converge\n",
+                     row.group.c_str(), row.algorithm.c_str());
+      }
     }
   }
   exp::PrintFigure(

@@ -51,6 +51,10 @@ int main() {
     row.verify_tuples = r->verify_fact;
     row.fill_missing = r->filled_vars + r->missing_answer_vars;
     rows.push_back(row);
+    if (r->final_result_distance != 0) {
+      std::fprintf(stderr, "warning: %s/%s did not converge\n",
+                   row.group.c_str(), row.algorithm.c_str());
+    }
   }
   exp::PrintTypedFigure(
       "Figure 3f: Mixed - types of questions (Q3, perfect oracle)", rows);

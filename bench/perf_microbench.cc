@@ -253,10 +253,10 @@ void BM_RemoveWrongAnswerEndToEnd(benchmark::State& state) {
   common::Rng rng(1);
   for (auto _ : state) {
     crowd::CrowdPanel panel({&oracle}, crowd::PanelConfig{1});
-    auto result =
-        cleaning::RemoveWrongAnswer(*q, planted->db, planted->wrong.front(),
-                                    &panel, cleaning::DeletionPolicy::kQoco,
-                                    &rng);
+    query::EvalResult evaluated = query::Evaluator(&planted->db).Evaluate(*q);
+    auto result = cleaning::RemoveWrongAnswerFromWitnesses(
+        evaluated.Find(planted->wrong.front())->witnesses, &panel,
+        cleaning::DeletionPolicy::kQoco, &rng);
     benchmark::DoNotOptimize(result);
   }
 }

@@ -48,10 +48,15 @@ common::Result<bool> AggregateCleaner::ShrinkGroup(
   }
   bool changed = false;
   for (const relational::Tuple& unit : false_units) {
+    // The view holds the unit's witnesses (none once an earlier removal
+    // took the unit out), so no re-evaluation is needed.
+    const provenance::WitnessSet& witnesses =
+        base_view_->Witnesses(Concat(group.key, unit));
     QOCO_ASSIGN_OR_RETURN(
         RemoveResult removal,
-        RemoveWrongAnswer(q_.base(), *db_, Concat(group.key, unit), panel_,
-                          config_.deletion_policy, &rng_, config_.trust));
+        RemoveWrongAnswerFromWitnesses(witnesses, panel_,
+                                       config_.deletion_policy, &rng_,
+                                       config_.trust));
     QOCO_RETURN_NOT_OK(ApplyEdits(removal.edits, db_));
     SyncView(removal.edits, *db_, &audit_ticker_, &*base_view_);
     stats->edits.insert(stats->edits.end(), removal.edits.begin(),

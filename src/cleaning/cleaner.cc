@@ -37,23 +37,6 @@ std::vector<relational::Tuple> Answers(
   return view.AnswerTuples();
 }
 
-/// The witnesses of the wrong answer `t`, read in place: the view already
-/// holds them, so no re-evaluation is needed.
-const provenance::WitnessSet& WitnessesOf(const query::IncrementalView& view,
-                                          const relational::Tuple& t) {
-  static const provenance::WitnessSet kNone;
-  const query::AnswerInfo* info = view.result().Find(t);
-  return info != nullptr ? info->witnesses : kNone;
-}
-
-/// A union answer is gone only once every witness of every disjunct that
-/// produces it is destroyed: the witnesses are combined into one
-/// hitting-set instance, so one NO answer can prune across disjuncts.
-provenance::WitnessSet WitnessesOf(const query::IncrementalUnionView& view,
-                                   const relational::Tuple& t) {
-  return view.CombinedWitnesses(t);
-}
-
 /// Algorithm 2 for a missing answer of a conjunctive query.
 common::Result<InsertResult> InsertMissingAnswer(
     const query::CQuery& q, relational::Database* db,
@@ -158,7 +141,7 @@ common::Result<CleanerStats> RunAlgorithm3(const Query& q,
       }
       QOCO_ASSIGN_OR_RETURN(
           RemoveResult removal,
-          RemoveWrongAnswerFromWitnesses(WitnessesOf(view, t), panel,
+          RemoveWrongAnswerFromWitnesses(view.Witnesses(t), panel,
                                          config.deletion_policy, rng,
                                          config.trust));
       if (removal.edits.empty()) {

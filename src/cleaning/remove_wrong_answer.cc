@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <unordered_map>
 
 #include "src/hittingset/hitting_set.h"
-#include "src/query/evaluator.h"
 
 namespace qoco::cleaning {
 
@@ -15,36 +13,44 @@ namespace {
 using relational::Fact;
 using relational::IFact;
 
-/// Working state: witnesses as sets of fact ids, plus the id <-> fact maps.
-/// Element identity is resolved in id space (one hash of flat integers per
-/// fact instead of ordered Value compares); `facts` keeps the materialized
-/// form for the boundaries that need values (edits, trust scores, crowd
-/// questions).
+/// Working state: the hitting-set instance over t's witness set, plus the
+/// element -> fact map for the boundaries that need values (edits, trust
+/// scores, crowd questions).
 struct WitnessState {
   std::vector<Fact> facts;              // element -> fact (materialized)
   std::vector<std::vector<int>> sets;   // surviving witnesses
 };
 
+/// Numbers the distinct witness facts in value order (the universe of
+/// provenance::DistinctFacts), maps each witness to its sorted element
+/// vector, and sorts and deduplicates the list of sets. The instance is
+/// thus a function of the witness *set*: neither the order nor repeats of
+/// `witnesses` reach a question.
 WitnessState BuildState(const provenance::WitnessSet& witnesses) {
   WitnessState state;
-  std::unordered_map<IFact, int, relational::IFactHash> ids;
+  if (witnesses.empty()) return state;
+  const relational::ValueDictionary& dict = *witnesses.front().dict();
+  const relational::IdFactLess less{&dict};
+  std::vector<IFact> universe = provenance::DistinctFacts(witnesses, dict);
+  state.facts.reserve(universe.size());
+  for (const IFact& f : universe) {
+    state.facts.push_back(relational::MaterializeFact(f, dict));
+  }
+  state.sets.reserve(witnesses.size());
   for (const provenance::Witness& w : witnesses) {
+    // A witness's facts are sorted in value order too, so its elements
+    // come out ascending.
     std::vector<int> set;
+    set.reserve(w.size());
     for (const IFact& f : w.facts()) {
-      auto [it, inserted] =
-          ids.emplace(f, static_cast<int>(state.facts.size()));
-      if (inserted) {
-        // First-seen numbering: witness facts arrive in value order within
-        // each witness, so element numbers (and every transcript downstream
-        // of them) match the value-space engine exactly.
-        state.facts.push_back(relational::MaterializeFact(f, *w.dict()));
-      }
-      set.push_back(it->second);
+      auto it = std::lower_bound(universe.begin(), universe.end(), f, less);
+      set.push_back(static_cast<int>(it - universe.begin()));
     }
-    std::sort(set.begin(), set.end());
-    set.erase(std::unique(set.begin(), set.end()), set.end());
     state.sets.push_back(std::move(set));
   }
+  std::sort(state.sets.begin(), state.sets.end());
+  state.sets.erase(std::unique(state.sets.begin(), state.sets.end()),
+                   state.sets.end());
   return state;
 }
 
@@ -143,18 +149,6 @@ int PickLeastTrusted(const std::vector<std::vector<int>>& sets,
 }
 
 }  // namespace
-
-common::Result<RemoveResult> RemoveWrongAnswer(
-    const query::CQuery& q, const relational::Database& db,
-    const relational::Tuple& t, crowd::CrowdPanel* crowd,
-    DeletionPolicy policy, common::Rng* rng, const TrustModel* trust) {
-  query::Evaluator evaluator(&db);
-  query::EvalResult result = evaluator.Evaluate(q);
-  const query::AnswerInfo* info = result.Find(t);
-  if (info == nullptr) return RemoveResult{};  // Already absent.
-  return RemoveWrongAnswerFromWitnesses(info->witnesses, crowd, policy, rng,
-                                        trust);
-}
 
 common::Result<RemoveResult> RemoveWrongAnswerFromWitnesses(
     const provenance::WitnessSet& witnesses, crowd::CrowdPanel* crowd,

@@ -7,8 +7,6 @@
 #include "src/common/status.h"
 #include "src/crowd/crowd_panel.h"
 #include "src/provenance/witness.h"
-#include "src/query/query.h"
-#include "src/relational/database.h"
 
 namespace qoco::cleaning {
 
@@ -51,22 +49,20 @@ struct RemoveResult {
 };
 
 /// Algorithm 1 (CrowdRemoveWrongAnswer): derives deletion edits that remove
-/// the wrong answer `t` from Q(D) by interactively finding a hitting set of
-/// false tuples over t's witnesses.
+/// the wrong answer t from Q(D) by interactively finding a hitting set of
+/// false tuples over `witnesses`, t's witness set wit(A(t, Q, D)) (a union
+/// answer passes the witnesses of every disjunct that produces it, so one
+/// crowd question can prune across disjuncts).
 ///
-/// Precondition: the crowd has already deemed `t` wrong (t ∉ Q(DG)); with a
+/// The run depends only on the *set* of witnesses and the rng: the
+/// hitting-set elements are numbered in value order and the witnesses
+/// sorted and deduplicated before the first question, so the order and
+/// repeats of `witnesses` never change an edit or a question.
+///
+/// Precondition: the crowd has already deemed t wrong (t ∉ Q(DG)); with a
 /// perfect oracle the algorithm then always terminates with a hitting set
 /// of false facts. `rng` breaks frequency ties (and drives kRandom);
 /// `trust` is consulted only by kLeastTrusted (defaults to UniformTrust).
-common::Result<RemoveResult> RemoveWrongAnswer(
-    const query::CQuery& q, const relational::Database& db,
-    const relational::Tuple& t, crowd::CrowdPanel* crowd,
-    DeletionPolicy policy, common::Rng* rng,
-    const TrustModel* trust = nullptr);
-
-/// Core of Algorithm 1 operating directly on a witness set. Used by
-/// RemoveWrongAnswer and by the UCQ cleaner (which combines the witness
-/// sets of all disjuncts producing the wrong answer).
 common::Result<RemoveResult> RemoveWrongAnswerFromWitnesses(
     const provenance::WitnessSet& witnesses, crowd::CrowdPanel* crowd,
     DeletionPolicy policy, common::Rng* rng,

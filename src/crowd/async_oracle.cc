@@ -1,6 +1,7 @@
 #include "src/crowd/async_oracle.h"
 
 #include <algorithm>
+#include <string_view>
 #include <utility>
 
 #include "src/relational/csv.h"
@@ -20,6 +21,17 @@ std::string UnionSignature(const query::UnionQuery& q) {
   return sig;
 }
 
+/// Appends `part` and a ';' terminator to `key`. A ';' or backslash inside
+/// `part` gets a backslash in front, so a key of several parts splits back
+/// into exactly those parts; a part holding neither is appended verbatim.
+void AppendKeyPart(std::string_view part, std::string* key) {
+  for (char c : part) {
+    if (c == ';' || c == '\\') *key += '\\';
+    *key += c;
+  }
+  *key += ';';
+}
+
 /// Renders a partial assignment as "0=(v);3=(w);": slot index plus encoded
 /// value for every bound variable, in slot order.
 std::string BindingKey(const query::Assignment& a) {
@@ -27,10 +39,9 @@ std::string BindingKey(const query::Assignment& a) {
   for (size_t v = 0; v < a.num_vars(); ++v) {
     query::VarId var = static_cast<query::VarId>(v);
     if (!a.IsBound(var)) continue;
-    key += std::to_string(v);
-    key += "=";
-    key += relational::EncodeTupleKey({a.ValueOf(var)});
-    key += ";";
+    std::string part = std::to_string(v) + "=";
+    part += relational::EncodeTupleKey({a.ValueOf(var)});
+    AppendKeyPart(part, &key);
   }
   return key;
 }
@@ -46,10 +57,7 @@ std::string CurrentSetKey(const std::vector<relational::Tuple>& current) {
   }
   std::sort(rendered.begin(), rendered.end());
   std::string key;
-  for (const std::string& r : rendered) {
-    key += r;
-    key += ";";
-  }
+  for (const std::string& r : rendered) AppendKeyPart(r, &key);
   return key;
 }
 

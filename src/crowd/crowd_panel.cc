@@ -20,60 +20,61 @@ CrowdPanel::CrowdPanel(std::vector<Oracle*> members, PanelConfig config)
   reliability_.resize(members_.size());
 }
 
-bool CrowdPanel::Vote(const std::function<bool(Oracle*)>& ask) {
-  size_t sample = config_.sample_size;
-  if (config_.weighted_voting && sample > 1) {
-    // Reliability-weighted aggregation: every sampled member answers, the
-    // decision is the weighted vote, and each member's reliability is
-    // updated by agreement with the decision.
-    std::vector<size_t> asked;
-    std::vector<bool> votes;
-    double yes_weight = 0;
-    double no_weight = 0;
-    for (size_t i = 0; i < sample; ++i) {
-      size_t index = (next_member_ + i) % members_.size();
-      ++counts_.member_answers;
-      bool vote = ask(members_[index]);
-      asked.push_back(index);
-      votes.push_back(vote);
-      (vote ? yes_weight : no_weight) += reliability_[index].Weight();
-    }
-    next_member_ = (next_member_ + 1) % members_.size();
-    bool decision = yes_weight >= no_weight;
-    for (size_t i = 0; i < asked.size(); ++i) {
-      ++reliability_[asked[i]].answers;
-      if (votes[i] == decision) ++reliability_[asked[i]].agreements;
-    }
-    return decision;
-  }
-
-  size_t majority = sample / 2 + 1;
-  size_t yes = 0;
-  size_t no = 0;
-  for (size_t i = 0; i < sample; ++i) {
-    Oracle* member = members_[(next_member_ + i) % members_.size()];
+std::vector<bool> CrowdPanel::Vote(
+    size_t n, const std::function<bool(Oracle*, size_t)>& ask) {
+  const size_t sample = config_.sample_size;
+  const size_t majority = sample / 2 + 1;
+  const bool weighted = config_.weighted_voting && sample > 1;
+  auto member_at = [&](size_t m) {
+    return (next_member_ + m) % members_.size();
+  };
+  std::vector<std::vector<bool>> votes;  // [m][i]: m-th member, question i
+  std::vector<size_t> yes(n, 0);
+  bool decided = false;
+  while (!decided && votes.size() < sample) {
+    Oracle* member = members_[member_at(votes.size())];
     ++counts_.member_answers;
-    if (ask(member)) {
-      ++yes;
-    } else {
-      ++no;
+    std::vector<bool>& vote = votes.emplace_back(n);
+    // A plain majority vote ends as soon as every question has a majority;
+    // the remaining members are not consulted (Section 7: "once two
+    // experts give the same answer, a third answer is no longer needed").
+    // A weighted vote hears every sampled member.
+    decided = !weighted;
+    for (size_t i = 0; i < n; ++i) {
+      vote[i] = ask(member, i);
+      if (vote[i]) ++yes[i];
+      size_t no = votes.size() - yes[i];
+      decided = decided && (yes[i] >= majority || no >= majority);
     }
-    // A decision can be made as soon as one side holds a majority; the
-    // remaining members are not consulted (Section 7: "once two experts
-    // give the same answer, a third answer is no longer needed").
-    if (yes >= majority || no >= majority) break;
+  }
+  std::vector<bool> decisions(n);
+  for (size_t i = 0; i < n; ++i) decisions[i] = yes[i] >= majority;
+  if (weighted) {
+    // Each question goes to the reliability-weighted side, and each
+    // member's reliability follows its agreement with every decision.
+    for (size_t i = 0; i < n; ++i) {
+      double yes_weight = 0;
+      double no_weight = 0;
+      for (size_t m = 0; m < votes.size(); ++m) {
+        double weight = reliability_[member_at(m)].Weight();
+        (votes[m][i] ? yes_weight : no_weight) += weight;
+      }
+      decisions[i] = yes_weight >= no_weight;
+    }
+    for (size_t m = 0; m < votes.size(); ++m) {
+      Reliability& r = reliability_[member_at(m)];
+      for (size_t i = 0; i < n; ++i) {
+        ++r.answers;
+        if (votes[m][i] == decisions[i]) ++r.agreements;
+      }
+    }
   }
   next_member_ = (next_member_ + 1) % members_.size();
-  return yes >= majority;
+  return decisions;
 }
 
 bool CrowdPanel::VerifyFact(const relational::Fact& fact) {
-  auto it = fact_cache_.find(fact);
-  if (it != fact_cache_.end()) return it->second;
-  ++counts_.verify_fact;
-  bool verdict = Vote([&](Oracle* o) { return o->IsFactTrue(fact); });
-  fact_cache_.emplace(fact, verdict);
-  return verdict;
+  return VerifyFactsBatch({fact}).front();
 }
 
 std::vector<bool> CrowdPanel::VerifyFactsBatch(
@@ -106,22 +107,13 @@ std::vector<bool> CrowdPanel::VerifyFactsBatch(
     }
     if (batch.empty()) continue;
     ++counts_.verify_fact;  // The composite counts as one question.
-    // Each sampled member answers the whole composite once; per-fact
-    // verdicts are decided by majority of those answers.
-    size_t sample = config_.sample_size;
-    std::vector<size_t> yes(batch.size(), 0);
-    for (size_t m = 0; m < sample; ++m) {
-      Oracle* member = members_[(next_member_ + m) % members_.size()];
-      ++counts_.member_answers;
-      for (size_t b = 0; b < batch.size(); ++b) {
-        if (member->IsFactTrue(facts[batch[b]])) ++yes[b];
-      }
-    }
-    next_member_ = (next_member_ + 1) % members_.size();
+    auto ask = [&](Oracle* o, size_t b) {
+      return o->IsFactTrue(facts[batch[b]]);
+    };
+    std::vector<bool> decided = Vote(batch.size(), ask);
     for (size_t b = 0; b < batch.size(); ++b) {
-      bool verdict = yes[b] >= sample / 2 + 1;
-      verdicts[batch[b]] = verdict;
-      fact_cache_.emplace(facts[batch[b]], verdict);
+      verdicts[batch[b]] = decided[b];
+      fact_cache_.emplace(facts[batch[b]], decided[b]);
     }
   }
   return verdicts;
@@ -142,7 +134,8 @@ bool CrowdPanel::VerifyAnswer(const query::CQuery& q,
   auto it = answer_cache_.find(key);
   if (it != answer_cache_.end()) return it->second;
   ++counts_.verify_answer;
-  bool verdict = Vote([&](Oracle* o) { return o->IsAnswerTrue(q, t); });
+  auto ask = [&](Oracle* o, size_t) { return o->IsAnswerTrue(q, t); };
+  bool verdict = Vote(1, ask).front();
   answer_cache_.emplace(std::move(key), verdict);
   return verdict;
 }
@@ -157,7 +150,8 @@ bool CrowdPanel::VerifyAnswer(const query::UnionQuery& q,
   auto it = answer_cache_.find(key);
   if (it != answer_cache_.end()) return it->second;
   ++counts_.verify_answer;
-  bool verdict = Vote([&](Oracle* o) { return o->IsAnswerTrue(q, t); });
+  auto ask = [&](Oracle* o, size_t) { return o->IsAnswerTrue(q, t); };
+  bool verdict = Vote(1, ask).front();
   answer_cache_.emplace(std::move(key), verdict);
   return verdict;
 }

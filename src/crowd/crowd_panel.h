@@ -50,13 +50,14 @@ class CrowdPanel {
   /// `members` must be non-empty; raw pointers must outlive the panel.
   CrowdPanel(std::vector<Oracle*> members, PanelConfig config);
 
-  /// TRUE(R(ā))? by majority vote (cached).
+  /// TRUE(R(ā))? by majority vote (cached): a one-fact VerifyFactsBatch.
   bool VerifyFact(const relational::Fact& fact);
 
   /// Composite verification: verdicts for all `facts`, posed to the crowd
   /// in composite questions of up to composite_batch_size facts each.
   /// Cached facts cost nothing; the rest cost one verify_fact per
-  /// composite. Returns verdicts aligned with the input order.
+  /// composite, decided by one Vote over its facts. Returns verdicts
+  /// aligned with the input order.
   std::vector<bool> VerifyFactsBatch(
       const std::vector<relational::Fact>& facts);
 
@@ -104,9 +105,14 @@ class CrowdPanel {
   size_t num_members() const { return members_.size(); }
 
  private:
-  /// Majority vote over up to sample_size members, starting at a rotating
-  /// offset; stops as soon as one side is decided.
-  bool Vote(const std::function<bool(Oracle*)>& ask);
+  /// Decides `n` closed questions posed together, where `ask(o, i)` is
+  /// member o's answer to question i: members are asked in rotation from
+  /// next_member_, each answering all n at once (one member answer), until
+  /// every question holds a majority of sample_size. With weighted_voting
+  /// every sampled member answers, each question goes to the
+  /// reliability-weighted side, and reliabilities are updated per question.
+  std::vector<bool> Vote(size_t n,
+                         const std::function<bool(Oracle*, size_t)>& ask);
 
   std::vector<Oracle*> members_;
   PanelConfig config_;

@@ -16,9 +16,9 @@ namespace qoco::provenance {
 /// catalog's shared ValueDictionary). Facts are kept sorted in *value*
 /// order — the dictionary-mediated order identical to Fact::operator< —
 /// and deduplicated, so witness equality (the join's witness dedup, the
-/// incremental view's witness GC) is a flat integer compare while every
-/// downstream ordering (hitting-set element numbering, question order)
-/// sees exactly the order the value-space engine produced.
+/// incremental view's witness GC) is a flat integer compare, and a
+/// witness's facts come in the order Algorithm 1 numbers its hitting-set
+/// elements (DistinctFacts).
 class Witness {
  public:
   Witness() = default;

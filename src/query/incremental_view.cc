@@ -49,6 +49,13 @@ IncrementalView::IncrementalView(CQuery q, const relational::Database* db)
   }
 }
 
+const provenance::WitnessSet& IncrementalView::Witnesses(
+    const relational::Tuple& t) const {
+  static const provenance::WitnessSet kNone;
+  const AnswerInfo* info = result_.Find(t);
+  return info != nullptr ? info->witnesses : kNone;
+}
+
 bool IncrementalView::Relevant(relational::RelationId rel) const {
   for (const Atom& atom : q_.atoms()) {
     if (atom.relation == rel) return true;
@@ -101,8 +108,8 @@ void IncrementalView::OnErase(const relational::Fact& f) {
   if (!fi.has_value()) return;
   // Delta rule, delete side: an assignment uses f iff its witness holds f,
   // so dropping the witnesses that hold f keeps exactly the surviving
-  // assignments' witnesses, in first-occurrence order. An answer left with
-  // no witness has lost its last assignment and is erased.
+  // assignments' witnesses. An answer left with no witness has lost its
+  // last assignment and is erased.
   std::vector<AnswerInfo>& answers = result_.mutable_answers();
   for (AnswerInfo& info : answers) {
     std::erase_if(info.witnesses, [&](const provenance::Witness& w) {
@@ -200,17 +207,12 @@ std::vector<relational::Tuple> IncrementalUnionView::AnswerTuples() const {
   return merged;
 }
 
-provenance::WitnessSet IncrementalUnionView::CombinedWitnesses(
+provenance::WitnessSet IncrementalUnionView::Witnesses(
     const relational::Tuple& t) const {
   provenance::WitnessSet combined;
   for (const IncrementalView& view : views_) {
-    const AnswerInfo* info = view.result().Find(t);
-    if (info == nullptr) continue;
-    for (const provenance::Witness& w : info->witnesses) {
-      if (std::find(combined.begin(), combined.end(), w) == combined.end()) {
-        combined.push_back(w);
-      }
-    }
+    const provenance::WitnessSet& part = view.Witnesses(t);
+    combined.insert(combined.end(), part.begin(), part.end());
   }
   return combined;
 }

@@ -35,8 +35,8 @@ namespace qoco::query {
 /// Both rules are exact for conjunctive queries with inequalities (the
 /// query language of the paper): inserts never remove answers and deletes
 /// never add them, so the two deltas compose to the from-scratch result.
-/// Each witness list stays in first-occurrence order: Evaluate's order for
-/// the witnesses it found, then discovery order for later inserts.
+/// An answer's witnesses are a set: their list order follows the edit
+/// history and carries no meaning (Algorithm 1 reads the set).
 ///
 /// Notify AFTER the database mutation: OnInsert(f) once f is in D,
 /// OnErase(f) once it is gone. Notifications are idempotent and, for a
@@ -53,6 +53,10 @@ class IncrementalView {
   /// invariant as Evaluator::Evaluate). Every AnswerInfo::assignments is
   /// empty.
   const EvalResult& result() const { return result_; }
+
+  /// The witnesses of the answer `t` (empty if t is not an answer), valid
+  /// until the next OnInsert or OnErase.
+  const provenance::WitnessSet& Witnesses(const relational::Tuple& t) const;
 
   /// Delta-maintains the view after `f` was inserted into the database.
   void OnInsert(const relational::Fact& f);
@@ -92,8 +96,8 @@ class IncrementalView {
 
 /// Incrementally maintained union view: one IncrementalView per disjunct,
 /// merged on read. Mirrors how UnionCleaner consumes union results — the
-/// merged answer list for verification/enumeration, and the combined
-/// witness sets across disjuncts for the shared hitting-set instance.
+/// merged answer list for verification/enumeration, and the witnesses of
+/// every disjunct for the shared hitting-set instance.
 class IncrementalUnionView {
  public:
   IncrementalUnionView(const UnionQuery& q, const relational::Database* db);
@@ -101,9 +105,10 @@ class IncrementalUnionView {
   /// Distinct answers of the union, sorted.
   std::vector<relational::Tuple> AnswerTuples() const;
 
-  /// Deduplicated witnesses of `t` across every disjunct that produces it
-  /// (empty if t is not a union answer).
-  provenance::WitnessSet CombinedWitnesses(const relational::Tuple& t) const;
+  /// The witnesses of `t` under every disjunct that produces it, one
+  /// disjunct after another (empty if t is not a union answer). A witness
+  /// two disjuncts share is listed once per disjunct.
+  provenance::WitnessSet Witnesses(const relational::Tuple& t) const;
 
   void OnInsert(const relational::Fact& f);
   void OnErase(const relational::Fact& f);

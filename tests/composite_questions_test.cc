@@ -77,15 +77,18 @@ TEST(CompositeQuestionsTest, BatchedDeletionGivesSameEditsFewerQuestions) {
   ASSERT_TRUE(sample.ok());
   auto s = std::move(sample).value();
   SimulatedOracle oracle(s.ground_truth.get());
+  query::EvalResult evaluated = query::Evaluator(s.dirty.get()).Evaluate(s.q1);
+  ASSERT_TRUE(evaluated.ContainsAnswer(Tuple{Value("ESP")}));
+  const provenance::WitnessSet& esp =
+      evaluated.Find(Tuple{Value("ESP")})->witnesses;
 
   auto run = [&](size_t batch) {
     PanelConfig config;
     config.composite_batch_size = batch;
     CrowdPanel panel({&oracle}, config);
     common::Rng rng(11);
-    auto result = cleaning::RemoveWrongAnswer(
-        s.q1, *s.dirty, Tuple{Value("ESP")}, &panel,
-        cleaning::DeletionPolicy::kQoco, &rng);
+    auto result = cleaning::RemoveWrongAnswerFromWitnesses(
+        esp, &panel, cleaning::DeletionPolicy::kQoco, &rng);
     EXPECT_TRUE(result.ok());
     return std::make_pair(result->edits.size(),
                           panel.counts().verify_fact);
@@ -104,9 +107,8 @@ TEST(CompositeQuestionsTest, BatchedDeletionGivesSameEditsFewerQuestions) {
   config.composite_batch_size = 3;
   CrowdPanel panel({&oracle}, config);
   common::Rng rng(11);
-  auto result = cleaning::RemoveWrongAnswer(
-      s.q1, *s.dirty, Tuple{Value("ESP")}, &panel,
-      cleaning::DeletionPolicy::kQoco, &rng);
+  auto result = cleaning::RemoveWrongAnswerFromWitnesses(
+      esp, &panel, cleaning::DeletionPolicy::kQoco, &rng);
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(cleaning::ApplyEdits(result->edits, &db).ok());
   query::Evaluator eval(&db);

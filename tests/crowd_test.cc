@@ -177,6 +177,19 @@ TEST(CrowdPanelTest, MajorityVoteStopsEarlyOnAgreement) {
   EXPECT_EQ(yes1.asked() + yes2.asked() + never.asked(), 2);
 }
 
+TEST(CrowdPanelTest, FactBatchVoteStopsEarlyOnAgreement) {
+  // Algorithm 1 asks its fact questions through VerifyFactsBatch, batch
+  // size 1 included; they get the same vote as VerifyFact.
+  ScriptedOracle yes1(true);
+  ScriptedOracle yes2(true);
+  ScriptedOracle never(true);
+  CrowdPanel panel({&yes1, &yes2, &never}, PanelConfig{3});
+  EXPECT_EQ(panel.VerifyFactsBatch({{0, {Value(1)}}}), std::vector<bool>{true});
+  EXPECT_EQ(panel.counts().verify_fact, 1u);
+  EXPECT_EQ(panel.counts().member_answers, 2u);
+  EXPECT_EQ(yes1.asked() + yes2.asked() + never.asked(), 2);
+}
+
 TEST(CrowdPanelTest, MajorityOverridesMinority) {
   ScriptedOracle no1(false);
   ScriptedOracle yes(true);
@@ -320,6 +333,29 @@ TEST_F(SignatureTest, PanelAsksAgainForATupleThatOnlyRendersAlike) {
   EXPECT_TRUE(panel.VerifyAnswer(q, {Value("a, b"), Value("c")}));
   EXPECT_FALSE(panel.VerifyAnswer(q, {Value("a"), Value("b, c")}));
   EXPECT_EQ(panel.counts().verify_answer, 2u);
+}
+
+TEST_F(SignatureTest, SeparatorsInsideValuesKeepKeysApart) {
+  // The set {("x);(y")} is not the set {("x"), ("y")}, and binding slot 0
+  // to "x);1=(y" is not binding slots 0 and 1 to "x" and "y".
+  const query::CQuery q = Parse("(x) :- R(x, y).");
+  auto missing = [&](std::vector<Tuple> current) {
+    return Question::MissingAnswer(q, std::move(current)).Signature();
+  };
+  auto complete = [&](const query::Assignment& partial) {
+    return Question::Complete(q, partial).Signature();
+  };
+  EXPECT_NE(missing({{Value("x);(y")}}), missing({{Value("x")}, {Value("y")}}));
+  query::Assignment joined(q.num_vars(), &catalog_.dict());
+  query::Assignment split = joined;
+  joined.Bind(0, Value("x);1=(y"));
+  split.Bind(0, Value("x"));
+  split.Bind(1, Value("y"));
+  EXPECT_NE(complete(joined), complete(split));
+  // Keys without ';' or a backslash keep their bytes.
+  EXPECT_EQ(missing({{Value("y")}, {Value("x")}}),
+            "M||v0,:-R0(v0,v1,)|(x);(y);");
+  EXPECT_EQ(complete(split), "C||v0,:-R0(v0,v1,)|0=(x);1=(y);");
 }
 
 TEST(EnumerationEstimatorTest, StopsAfterConfiguredNulls) {

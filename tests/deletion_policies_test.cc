@@ -23,10 +23,16 @@ class DeletionPoliciesTest : public ::testing::Test {
     ASSERT_TRUE(sample.ok());
     s_ = std::make_unique<workload::FigureOneSample>(std::move(sample).value());
     oracle_ = std::make_unique<crowd::SimulatedOracle>(s_->ground_truth.get());
+    query::EvalResult result =
+        query::Evaluator(s_->dirty.get()).Evaluate(s_->q1);
+    ASSERT_TRUE(result.ContainsAnswer(Tuple{Value("ESP")}));
+    esp_ = result.Find(Tuple{Value("ESP")})->witnesses;
   }
 
   std::unique_ptr<workload::FigureOneSample> s_;
   std::unique_ptr<crowd::SimulatedOracle> oracle_;
+  /// The witnesses of the wrong answer ESP of Q1(D).
+  provenance::WitnessSet esp_;
 };
 
 TEST_F(DeletionPoliciesTest, AllPoliciesRemoveTheWrongAnswer) {
@@ -36,9 +42,8 @@ TEST_F(DeletionPoliciesTest, AllPoliciesRemoveTheWrongAnswer) {
     for (uint64_t seed = 1; seed <= 10; ++seed) {
       crowd::CrowdPanel panel({oracle_.get()}, crowd::PanelConfig{1});
       common::Rng rng(seed);
-      auto result = RemoveWrongAnswer(s_->q1, *s_->dirty,
-                                      Tuple{Value("ESP")}, &panel, policy,
-                                      &rng, &trust);
+      auto result = RemoveWrongAnswerFromWitnesses(esp_, &panel, policy,
+                                                   &rng, &trust);
       ASSERT_TRUE(result.ok());
       relational::Database db = *s_->dirty;
       ASSERT_TRUE(ApplyEdits(result->edits, &db).ok());
@@ -62,19 +67,16 @@ TEST_F(DeletionPoliciesTest, AccurateTrustBeatsRandom) {
     {
       crowd::CrowdPanel panel({oracle_.get()}, crowd::PanelConfig{1});
       common::Rng rng(seed);
-      auto result = RemoveWrongAnswer(s_->q1, *s_->dirty,
-                                      Tuple{Value("ESP")}, &panel,
-                                      DeletionPolicy::kLeastTrusted, &rng,
-                                      &sharp_trust);
+      auto result = RemoveWrongAnswerFromWitnesses(
+          esp_, &panel, DeletionPolicy::kLeastTrusted, &rng, &sharp_trust);
       ASSERT_TRUE(result.ok());
       trusted_total += static_cast<double>(result->questions_asked);
     }
     {
       crowd::CrowdPanel panel({oracle_.get()}, crowd::PanelConfig{1});
       common::Rng rng(seed);
-      auto result = RemoveWrongAnswer(s_->q1, *s_->dirty,
-                                      Tuple{Value("ESP")}, &panel,
-                                      DeletionPolicy::kRandom, &rng);
+      auto result = RemoveWrongAnswerFromWitnesses(
+          esp_, &panel, DeletionPolicy::kRandom, &rng);
       ASSERT_TRUE(result.ok());
       random_total += static_cast<double>(result->questions_asked);
     }
@@ -89,9 +91,8 @@ TEST_F(DeletionPoliciesTest, ResponsibilityPrefersCounterfactualTuples) {
   // question QOCO's most-frequent rule would pick.
   crowd::CrowdPanel panel({oracle_.get()}, crowd::PanelConfig{1});
   common::Rng rng(2);
-  auto result =
-      RemoveWrongAnswer(s_->q1, *s_->dirty, Tuple{Value("ESP")}, &panel,
-                        DeletionPolicy::kResponsibility, &rng);
+  auto result = RemoveWrongAnswerFromWitnesses(
+      esp_, &panel, DeletionPolicy::kResponsibility, &rng);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->edits.size(), 3u);
 }

@@ -83,10 +83,12 @@ TEST_P(DeletionReductionPropertyTest, AlgorithmOneSolvesReducedInstances) {
   crowd::SimulatedOracle oracle(reduction->ground_truth.get());
   crowd::CrowdPanel panel({&oracle}, crowd::PanelConfig{1});
   common::Rng algo_rng(GetParam() * 13 + 1);
-  auto removal =
-      RemoveWrongAnswer(reduction->query, *reduction->dirty,
-                        reduction->target, &panel, DeletionPolicy::kQoco,
-                        &algo_rng);
+  query::EvalResult dirty_result =
+      query::Evaluator(reduction->dirty.get()).Evaluate(reduction->query);
+  ASSERT_TRUE(dirty_result.ContainsAnswer(reduction->target));
+  auto removal = RemoveWrongAnswerFromWitnesses(
+      dirty_result.Find(reduction->target)->witnesses, &panel,
+      DeletionPolicy::kQoco, &algo_rng);
   ASSERT_TRUE(removal.ok());
 
   // Applying the edits removes the target answer...

@@ -41,6 +41,35 @@ TEST(WeightedVotingTest, LearnsToDiscountUnreliableMembers) {
   EXPECT_LT(panel.MemberReliability(2), 0.2);
 }
 
+TEST(WeightedVotingTest, CompositeQuestionsUpdateReliabilityPerFact) {
+  auto sample = workload::MakeFigureOneSample();
+  ASSERT_TRUE(sample.ok());
+  auto s = std::move(sample).value();
+  SimulatedOracle honest1(s.ground_truth.get());
+  SimulatedOracle honest2(s.ground_truth.get());
+  ImperfectOracle liar(s.ground_truth.get(), 1.0, 3);
+  PanelConfig config;
+  config.sample_size = 3;
+  config.composite_batch_size = 4;
+  config.weighted_voting = true;
+  CrowdPanel panel({&honest1, &honest2, &liar}, config);
+
+  // One composite of four facts: every sampled member answers it once,
+  // and agreement is counted per fact.
+  std::vector<Fact> facts = s.dirty->AllFacts();
+  facts.resize(4);
+  std::vector<bool> verdicts = panel.VerifyFactsBatch(facts);
+  SimulatedOracle truth(s.ground_truth.get());
+  for (size_t i = 0; i < facts.size(); ++i) {
+    EXPECT_EQ(verdicts[i], truth.IsFactTrue(facts[i]));
+  }
+  EXPECT_EQ(panel.counts().verify_fact, 1u);
+  EXPECT_EQ(panel.counts().member_answers, 3u);
+  EXPECT_DOUBLE_EQ(panel.MemberReliability(0), 5.0 / 6.0);
+  EXPECT_DOUBLE_EQ(panel.MemberReliability(1), 5.0 / 6.0);
+  EXPECT_DOUBLE_EQ(panel.MemberReliability(2), 1.0 / 6.0);
+}
+
 TEST(WeightedVotingTest, DefaultsToHalfWithNoHistory) {
   auto sample = workload::MakeFigureOneSample();
   ASSERT_TRUE(sample.ok());
