@@ -11,7 +11,9 @@ namespace qoco::crowd {
 namespace {
 
 /// Structural signature of a union query: disjunct signatures joined with
-/// ';' (CQuery::Signature is catalog-free; so is this).
+/// ';' (CQuery::Signature is catalog-free; so is this). A disjunct's
+/// signature never starts with ';' and uses a bare ';' only to end an
+/// inequality, so the join splits back into exactly its disjuncts.
 std::string UnionSignature(const query::UnionQuery& q) {
   std::string sig;
   for (const query::CQuery& d : q.disjuncts()) {

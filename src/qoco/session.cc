@@ -3,13 +3,8 @@
 #include <utility>
 
 #include "src/query/parser.h"
-#include "src/relational/csv.h"
 
 namespace qoco {
-
-std::string Session::FinalFactsCsv() const {
-  return relational::DatabaseToCsv(*db_);
-}
 
 Session::Session(relational::Database* db,
                  std::vector<crowd::Oracle*> members, Options options)

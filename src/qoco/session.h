@@ -1,7 +1,6 @@
 #ifndef QOCO_QOCO_SESSION_H_
 #define QOCO_QOCO_SESSION_H_
 
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -67,12 +66,6 @@ class Session {
   /// Durable journal of every edit applied in this session, replayable
   /// with relational::ReplayJournal over a pre-session snapshot.
   const relational::EditJournal& journal() const { return journal_; }
-
-  /// Canonical serialization of the database's current facts
-  /// (relational::DatabaseToCsv). This is the "final facts" surface the
-  /// service layer's determinism contract pins: a concurrent session's
-  /// FinalFactsCsv must equal its solo run's, byte for byte.
-  std::string FinalFactsCsv() const;
 
   const relational::Database& database() const { return *db_; }
   crowd::CrowdPanel* panel() { return &panel_; }

@@ -16,6 +16,22 @@ std::string TermToString(const Term& term, const CQuery& q) {
   return v.ToString();
 }
 
+/// A term's key in CQuery::Signature: "v" and the variable id, or "c" and
+/// the constant's EncodeCsvField text with a backslash before every '\',
+/// '!' and ';'. Keys end at ",", "!=" or ";", and EncodeCsvField quotes
+/// every string holding a ',', so a reader that skips escaped characters
+/// and quoted text finds where each constant ends. A constant holding none
+/// of the three characters keeps its bytes.
+std::string TermSignature(const Term& t) {
+  if (t.is_variable()) return "v" + std::to_string(t.var());
+  std::string key = "c";
+  for (char c : relational::EncodeCsvField(t.constant())) {
+    if (c == '\\' || c == '!' || c == ';') key += '\\';
+    key += c;
+  }
+  return key;
+}
+
 void CollectVars(const std::vector<Term>& terms, std::set<VarId>* out) {
   for (const Term& t : terms) {
     if (t.is_variable()) out->insert(t.var());
@@ -194,20 +210,16 @@ std::string CQuery::ToString(const relational::Catalog& catalog) const {
 }
 
 std::string CQuery::Signature() const {
-  auto term_sig = [](const Term& t) {
-    return t.is_variable() ? "v" + std::to_string(t.var())
-                           : "c" + relational::EncodeCsvField(t.constant());
-  };
   std::string sig;
-  for (const Term& t : head_) sig += term_sig(t) + ",";
+  for (const Term& t : head_) sig += TermSignature(t) + ",";
   sig += ":-";
   for (const Atom& atom : atoms_) {
     sig += "R" + std::to_string(atom.relation) + "(";
-    for (const Term& t : atom.terms) sig += term_sig(t) + ",";
+    for (const Term& t : atom.terms) sig += TermSignature(t) + ",";
     sig += ")";
   }
   for (const Inequality& ineq : inequalities_) {
-    sig += term_sig(ineq.lhs) + "!=" + term_sig(ineq.rhs) + ";";
+    sig += TermSignature(ineq.lhs) + "!=" + TermSignature(ineq.rhs) + ";";
   }
   return sig;
 }

@@ -104,9 +104,11 @@ class CQuery {
   std::string ToString(const relational::Catalog& catalog) const;
 
   /// A catalog-free structural key (relation ids, variable ids, constants
-  /// encoded by relational::EncodeCsvField) that identifies the query for
-  /// caching. Structurally equal queries over the same catalog share a
-  /// signature.
+  /// encoded by relational::EncodeCsvField, with '\', '!' and ';' escaped)
+  /// that identifies the query for caching. Structurally equal queries over
+  /// the same catalog share a signature, and different ones never do: the
+  /// key splits back into exactly its terms. Never starts with ';', and a
+  /// bare ';' in it only ends an inequality.
   std::string Signature() const;
 
  private:

@@ -4,6 +4,7 @@
 
 #include "src/qoco/session.h"
 #include "src/query/parser.h"
+#include "src/relational/csv.h"
 #include "src/service/broker_oracle.h"
 
 namespace qoco::service {
@@ -71,6 +72,7 @@ common::Result<SessionId> SessionManager::Admit(SessionSpec spec) {
   state->seed = spec.seed;
   state->cleaner = spec.cleaner;
   state->scope = std::move(spec.scope);
+  state->base_snapshot = spec.base_snapshot;
 
   SessionId id = 0;
   bool launch = false;
@@ -151,7 +153,6 @@ void SessionManager::RunOne(SessionId id) {
   SessionResult result;
   result.status = std::move(status);
   result.journal = session.journal().contents();
-  result.final_facts_csv = session.FinalFactsCsv();
   result.questions = session.questions();
   result.attribution = broker_->SessionStats(id);
   {
@@ -195,6 +196,7 @@ std::optional<SessionId> SessionManager::FinishAndDequeue(SessionId id) {
 
 common::Result<SessionResult> SessionManager::Wait(SessionId id) {
   std::unique_ptr<SessionState> state;
+  std::string journal_prefix;
   {
     common::MutexLock lk(mu_);
     auto it = sessions_.find(id);
@@ -206,13 +208,22 @@ common::Result<SessionResult> SessionManager::Wait(SessionId id) {
     if (it != sessions_.end()) {
       state = std::move(it->second);
       sessions_.erase(it);
+      journal_prefix =
+          std::string(commit_journal_.ContentsAt(state->base_snapshot));
     }
   }
   FreeRetired();
   if (state == nullptr) {
     return common::Status::NotFound("no such session: " + std::to_string(id));
   }
-  return std::move(state->result);
+  // The private database is gone; rebuild the final one from the base, the
+  // prefix the session read and its own journal, render it, and free it.
+  SessionResult& result = state->result;
+  relational::Database final_db(*base_);
+  QOCO_RETURN_NOT_OK(relational::ReplayJournal(journal_prefix, &final_db));
+  QOCO_RETURN_NOT_OK(relational::ReplayJournal(result.journal, &final_db));
+  result.final_facts_csv = relational::DatabaseToCsv(final_db);
+  return std::move(result);
 }
 
 void SessionManager::WaitIdle() {

@@ -64,7 +64,14 @@ struct SessionResult {
   /// to a solo serial run of the same spec — the service determinism
   /// contract.
   std::string journal;
-  /// DatabaseToCsv of the session's private database after cleaning.
+  /// relational::DatabaseToCsv of the base snapshot the session read with
+  /// `journal` replayed on top, rendered by Wait (until then the manager
+  /// keeps the journal, not this text). For a successful session these are
+  /// the facts its private database ended with, byte-equal to a solo serial
+  /// run's DatabaseToCsv — the determinism contract again. A failed
+  /// session's final facts hold only what its journal records: the step
+  /// that failed journaled nothing, so edits it applied before failing are
+  /// not among them.
   std::string final_facts_csv;
   /// Crowd interaction as the session experienced it (dedup-blind).
   crowd::QuestionCounts questions;
@@ -95,9 +102,11 @@ struct SessionResult {
 /// Bounded state: a finished session's private database is retired and
 /// freed on the coordinator by the next Submit or Wait (a worker frees
 /// nothing, so no session's time pays for another's teardown), and Wait
-/// hands the result over once and drops the session. Memory is held for
-/// the sessions in flight plus the results not yet collected, not for
-/// every session ever served.
+/// hands the result over once and drops the session. A result not yet
+/// collected holds the session's journal, not a rendered database; Wait
+/// renders the final facts from it. Memory is held for the sessions in
+/// flight plus the journals of results not yet collected, not for every
+/// session ever served.
 class SessionManager {
  public:
   /// `base`, `broker` and `pool` must outlive the manager. Every Submit
@@ -124,6 +133,16 @@ class SessionManager {
   /// Wait on `id` returns NotFound. Of two concurrent waiters on one id,
   /// exactly one gets the result. Also frees retired databases, like
   /// Submit.
+  ///
+  /// The hand-over fills final_facts_csv: it rebuilds the session's final
+  /// database (an id-space copy of the base, the commit-journal prefix the
+  /// spec read, then the session's journal, each by ReplayJournal), renders
+  /// it and frees it before returning. Any thread may call Wait: the
+  /// rebuild only looks values up, because the base's values were interned
+  /// at load, the prefix's at admission, and every value a session's edits
+  /// hold is already in the shared catalog, so it reads the dictionary just
+  /// as a running session does. If a journal does not replay, Wait returns
+  /// ReplayJournal's status instead of the result.
   common::Result<SessionResult> Wait(SessionId id);
 
   /// Blocks until no session is active or queued.
@@ -167,11 +186,15 @@ class SessionManager {
     uint64_t seed = 1;
     cleaning::CleanerConfig cleaner;
     std::string scope;
+    // The commit-journal prefix the private copy replayed; Wait replays it
+    // again to rebuild the final database.
+    relational::JournalSnapshot base_snapshot;
     // Private copy: the base plus the spec's journal prefix. Moved to
     // retired_ when the session finishes; null from then on.
     std::unique_ptr<relational::Database> db;
     bool done = false;
-    // Moved out by the one Wait that erases this state.
+    // Moved out by the one Wait that erases this state, which also fills
+    // its final_facts_csv.
     SessionResult result;
 
     explicit SessionState(std::unique_ptr<relational::Database> database)

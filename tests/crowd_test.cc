@@ -358,6 +358,34 @@ TEST_F(SignatureTest, SeparatorsInsideValuesKeepKeysApart) {
   EXPECT_EQ(complete(split), "C||v0,:-R0(v0,v1,)|0=(x);1=(y);");
 }
 
+TEST_F(SignatureTest, SeparatorsInsideQueryConstantsKeepQueriesApart) {
+  // A ';' or a "!=" inside a constant is not the end of an inequality or
+  // the operator between its sides.
+  const query::CQuery semicolon = Parse("(x) :- R(x, y), x != 'a;v1!=cb'.");
+  const query::CQuery two = Parse("(x) :- R(x, y), x != 'a', y != 'b'.");
+  EXPECT_NE(semicolon.Signature(), two.Signature());
+  EXPECT_NE(Parse("(x) :- R(x, y), 'a' != 'v1!=v0'.").Signature(),
+            Parse("(x) :- R(x, y), 'a!=cv1' != x.").Signature());
+  // Unions whose disjuncts differ that way sign apart too.
+  auto union_answer = [&](const std::string& text) {
+    auto u = query::ParseUnionQuery(text, catalog_);
+    EXPECT_TRUE(u.ok()) << u.status().ToString();
+    return Question::AnswerTrue(*u, {Value("a")}).Signature();
+  };
+  EXPECT_NE(
+      union_answer("(x) :- R(x, y), x != 'a;v1!=cb'; (x) :- R(y, x)."),
+      union_answer("(x) :- R(x, y), x != 'a', y != 'b'; (x) :- R(y, x)."));
+  // A backslash in a constant is escaped too, so a constant ending in one
+  // cannot swallow the separator after it.
+  EXPECT_NE(
+      Parse("(x) :- R(x, y), 'a\\' != 'b\\', x != y.").Signature(),
+      Parse("(x) :- R(x, y), 'a!=cb;v0' != y.").Signature());
+  // Constants without a backslash, '!' or ';' keep their bytes.
+  EXPECT_EQ(two.Signature(), "v0,:-R0(v0,v1,)v0!=ca;v1!=cb;");
+  EXPECT_EQ(union_answer("(x) :- R(x, y), x != 'a'; (x) :- R(y, x)."),
+            "UA||v0,:-R0(v0,v1,)v0!=ca;;v0,:-R0(v1,v0,)|(a)");
+}
+
 TEST(EnumerationEstimatorTest, StopsAfterConfiguredNulls) {
   EnumerationEstimator estimator(2);
   EXPECT_FALSE(estimator.IsLikelyComplete());

@@ -14,7 +14,9 @@
 //  * admission control, admission that keeps every base value exact,
 //    snapshot isolation and in-order commit;
 //  * bounded state: a finished session's database is freed on the
-//    coordinator, and Wait hands each result over once.
+//    coordinator, and Wait hands each result over once, rendering its
+//    final facts from the snapshot and the journal (also on a pool thread
+//    while another session runs, and for a session whose step failed).
 //
 // One test leaves the harness on purpose: crowd::BlockingOracleAdapter is
 // exercised over a RealtimeClock, the pairing a deployment uses.
@@ -37,8 +39,10 @@
 #include "src/crowd/question_log.h"
 #include "src/crowd/simulated_oracle.h"
 #include "src/qoco/session.h"
+#include "src/query/parser.h"
 #include "src/relational/csv.h"
 #include "src/relational/database.h"
+#include "src/relational/journal.h"
 #include "src/service/broker_oracle.h"
 #include "src/service/clock.h"
 #include "src/service/question_broker.h"
@@ -268,7 +272,8 @@ DirectRun RunDirect(const relational::Database& dirty, const SessionSpec& spec,
                      : session.CleanUnionView(step.query_text);
     EXPECT_TRUE(stats.ok()) << stats.status().ToString();
   }
-  return {session.journal().contents(), session.FinalFactsCsv(),
+  return {session.journal().contents(),
+          relational::DatabaseToCsv(session.database()),
           crowd::ToString(session.questions())};
 }
 
@@ -777,6 +782,7 @@ TEST_F(ServiceTest, OracleFailureFailsSessionCleanlyAndLateAnswerIsDiscarded) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->status.code(), common::StatusCode::kDeadlineExceeded);
   EXPECT_TRUE(result->journal.empty());
+  EXPECT_EQ(result->final_facts_csv, relational::DatabaseToCsv(*s_->dirty));
   EXPECT_TRUE(st.manager.CommitJournalContents().empty());
   EXPECT_EQ(result->attribution.failures, 1u);
   EXPECT_EQ(st.broker.stats().failed_questions, 1u);
@@ -863,6 +869,8 @@ TEST_F(ServiceTest, SnapshotIsolationAndInOrderCommit) {
   ASSERT_TRUE(r2.ok());
   ASSERT_TRUE(r2->status.ok());
   EXPECT_TRUE(r2->journal.empty());
+  // Its final facts are rendered from the prefix it read: session 1's.
+  EXPECT_EQ(r2->final_facts_csv, r1->final_facts_csv);
 
   // Session 3 reads the *pure base* (snapshot isolation: session 1's commit
   // is invisible) with session 1's seed, so it replays session 1's exact
@@ -880,6 +888,73 @@ TEST_F(ServiceTest, SnapshotIsolationAndInOrderCommit) {
 
   // Commits spliced in session-id order.
   EXPECT_EQ(st.manager.CommitJournalContents(), r1->journal + r3->journal);
+}
+
+/// A perfect crowd, except that COMPL(Q(D)) for the query signed
+/// `wide_query` is answered with a tuple one value wider than the head,
+/// which fails the insertion step that reads it.
+class WideMissingAnswerOracle : public crowd::SimulatedOracle {
+ public:
+  WideMissingAnswerOracle(const relational::Database* truth,
+                          std::string wide_query)
+      : SimulatedOracle(truth), wide_query_(std::move(wide_query)) {}
+
+  using SimulatedOracle::MissingAnswer;
+  std::optional<Tuple> MissingAnswer(
+      const query::CQuery& q, const std::vector<Tuple>& current) override {
+    if (q.Signature() != wide_query_) {
+      return SimulatedOracle::MissingAnswer(q, current);
+    }
+    return Tuple(q.head().size() + 1, Value("wide"));
+  }
+
+ private:
+  std::string wide_query_;
+};
+
+/// A session whose second step fails after it applied an edit: step 1
+/// repairs Q2 and journals it, step 2 removes Q1's wrong answer and then
+/// fails on a malformed missing answer. The failed step journaled nothing,
+/// so the session's final facts are its snapshot plus its journal, without
+/// the removal its private database held.
+TEST_F(ServiceTest, EditsOfAFailedStepStayOutOfFinalFacts) {
+  common::Result<query::CQuery> q1 =
+      query::ParseQuery(kQ1, s_->dirty->catalog());
+  ASSERT_TRUE(q1.ok());
+  WideMissingAnswerOracle wide(s_->ground_truth.get(), q1->Signature());
+  const SessionSpec spec = SpecOf({kQ2, kQ1}, /*seed=*/5);
+
+  // Run directly, the failed step leaves its removal in the database it
+  // cleaned, though its journal never records it.
+  relational::Database direct_db = *s_->dirty;
+  Session::Options options;
+  options.panel.sample_size = 1;
+  options.seed = spec.seed;
+  Session direct(&direct_db, {&wide}, options);
+  ASSERT_TRUE(direct.CleanView(kQ2).ok());
+  const std::string q2_journal = direct.journal().contents();
+  ASSERT_FALSE(q2_journal.empty());
+  EXPECT_EQ(direct.CleanView(*q1).status().code(),
+            common::StatusCode::kInvalidArgument);
+  EXPECT_EQ(direct.journal().contents(), q2_journal);
+
+  FakeClock clock;
+  TestAsyncOracle oracle(&wide, &clock);
+  QuestionBroker broker(&oracle, &clock);
+  common::ThreadPool pool(1);
+  SessionManager manager(s_->dirty.get(), &broker, &pool);
+  auto id = manager.Submit(spec);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  auto result = manager.Wait(*id);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->status.code(), common::StatusCode::kInvalidArgument);
+  EXPECT_EQ(result->journal, q2_journal);
+  EXPECT_TRUE(manager.CommitJournalContents().empty());
+
+  relational::Database journaled = *s_->dirty;
+  ASSERT_TRUE(relational::ReplayJournal(result->journal, &journaled).ok());
+  EXPECT_EQ(result->final_facts_csv, relational::DatabaseToCsv(journaled));
+  EXPECT_NE(result->final_facts_csv, relational::DatabaseToCsv(direct_db));
 }
 
 TEST_F(ServiceTest, SubmitRejectsBadQueriesAndBadSnapshots) {
@@ -1005,6 +1080,58 @@ TEST_F(ServiceTest, TwoWaitersOnOneSessionGetTheResultOnce) {
     }
     ASSERT_TRUE((*r)->status.ok()) << (*r)->status.ToString();
     EXPECT_EQ((*r)->journal, reference.journal);
+  }
+  EXPECT_EQ(st.manager.PrivateDatabases(), 0u);
+}
+
+/// Wait renders a finished session's final facts on a pool thread while
+/// another session still runs on the manager's pool. Both only read the
+/// shared dictionary, so under TSan this races the hand-over against a
+/// worker.
+TEST_F(ServiceTest, WaitRendersOnAPoolThreadWhileAnotherSessionRuns) {
+  SessionSpec quick = SpecOf({kQ1}, 21);
+  quick.scope = "quick";
+  SessionSpec slow = SpecOf({kQ1, kQ2}, 22);
+  slow.scope = "slow";
+  std::vector<DirectRun> reference;
+  for (const SessionSpec* spec : {&quick, &slow}) {
+    crowd::SimulatedOracle oracle(s_->ground_truth.get());
+    reference.push_back(RunDirect(*s_->dirty, *spec, &oracle));
+  }
+
+  ServiceStack st(*s_, /*threads=*/2);
+  // The quick session never parks; the slow one parks a tick on each
+  // question, so it is still running when the quick one finishes.
+  st.oracle.set_script([](const Question& q, size_t) {
+    return OracleBehavior{.latency = q.scope == "slow" ? Tick{1} : Tick{0}};
+  });
+  ScheduleDriver driver(&st.clock);
+  driver.Attach(&st.broker, &st.manager);
+  driver.AddLive(2);
+  auto slow_id = st.manager.Submit(slow);
+  ASSERT_TRUE(slow_id.ok());
+  auto quick_id = st.manager.Submit(quick);
+  ASSERT_TRUE(quick_id.ok());
+
+  std::optional<common::Result<SessionResult>> quick_result;
+  common::ThreadPool waiter(2);
+  ASSERT_TRUE(waiter
+                  .Submit([&st, &quick_result, id = *quick_id] {
+                    quick_result.emplace(st.manager.Wait(id));
+                  })
+                  .ok());
+  ASSERT_TRUE(driver.Drive());
+  waiter.Wait();
+  auto slow_result = st.manager.Wait(*slow_id);
+
+  ASSERT_TRUE(quick_result.has_value() && quick_result->ok());
+  ASSERT_TRUE(slow_result.ok());
+  const SessionResult* results[] = {&quick_result->value(),
+                                    &slow_result.value()};
+  for (size_t i = 0; i < 2; ++i) {
+    ASSERT_TRUE(results[i]->status.ok()) << results[i]->status.ToString();
+    EXPECT_EQ(results[i]->journal, reference[i].journal) << "session " << i;
+    EXPECT_EQ(results[i]->final_facts_csv, reference[i].facts);
   }
   EXPECT_EQ(st.manager.PrivateDatabases(), 0u);
 }
