@@ -20,9 +20,9 @@ namespace qoco::common {
 /// just the first broken field.
 ///
 ///   common::InvariantAuditor audit("relational::Relation");
-///   if (rows_.size() != membership_.size()) {
-///     audit.Violation() << "membership has " << membership_.size()
-///                       << " entries for " << rows_.size() << " rows";
+///   if (occupied != rows_.size()) {
+///     audit.Violation() << "membership has " << occupied << " entries for "
+///                       << rows_.size() << " rows";
 ///   }
 ///   return audit.Finish();
 class InvariantAuditor {

@@ -1,6 +1,7 @@
 #include "src/relational/relation.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "src/common/check.h"
 #include "src/common/invariant.h"
@@ -11,7 +12,7 @@ const std::vector<uint32_t> Relation::kEmptyRows;
 
 bool Relation::Contains(const Tuple& t) const {
   std::optional<ITuple> ids = FindTuple(t, *dict_);
-  return ids.has_value() && membership_.contains(*ids);
+  return ids.has_value() && ContainsIds(*ids);
 }
 
 bool Relation::Insert(const Tuple& t) {
@@ -22,11 +23,16 @@ bool Relation::Insert(const Tuple& t) {
 
 bool Relation::InsertIds(const ITuple& t) {
   QOCO_DCHECK_EQ(t.size(), arity_);
-  if (membership_.contains(t)) return false;
+  // Keep the load at most 1/2 with the new row counted.
+  if (2 * (rows_.size() + 1) > slots_.size()) {
+    RehashMembership(slots_.empty() ? 16 : 2 * slots_.size());
+  }
+  size_t slot = ProbeSlot(t);
+  if (slots_[slot] != 0) return false;
   ++version_;
   uint32_t pos = static_cast<uint32_t>(rows_.size());
   rows_.push_back(t);
-  membership_.emplace(t, pos);
+  slots_[slot] = pos + 1;
   for (size_t col = 0; col < arity_; ++col) {
     if (index_valid_[col]) column_index_[col][t[col]].push_back(pos);
   }
@@ -40,11 +46,11 @@ bool Relation::Erase(const Tuple& t) {
 }
 
 bool Relation::EraseIds(const ITuple& t) {
-  auto it = membership_.find(t);
-  if (it == membership_.end()) return false;
+  if (slots_.empty()) return false;
+  size_t slot = ProbeSlot(t);
+  if (slots_[slot] == 0) return false;
   ++version_;
-  uint32_t pos = it->second;
-  membership_.erase(it);
+  uint32_t pos = slots_[slot] - 1;
   uint32_t last = static_cast<uint32_t>(rows_.size()) - 1;
   // Patch built indexes before touching rows_: drop `pos` under the erased
   // tuple's values, then retarget the row that swap-remove will move from
@@ -55,12 +61,39 @@ bool Relation::EraseIds(const ITuple& t) {
     RemovePosting(col, t[col], pos);
     if (pos != last) RepointPosting(col, rows_[last][col], last, pos);
   }
+  // `t` may alias a row, so it is read for the last time above.
+  EraseSlot(slot);
   if (pos != last) {
+    // Swap-remove: the one slot naming `last` now names `pos`.
+    slots_[ProbeSlot(rows_[last])] = pos + 1;
     rows_[pos] = std::move(rows_[last]);
-    membership_[rows_[pos]] = pos;
   }
   rows_.pop_back();
   return true;
+}
+
+void Relation::RehashMembership(size_t capacity) {
+  slots_.assign(capacity, 0);
+  size_t mask = capacity - 1;
+  for (uint32_t pos = 0; pos < rows_.size(); ++pos) {
+    size_t i = ITupleHash{}(rows_[pos]) & mask;
+    while (slots_[i] != 0) i = (i + 1) & mask;
+    slots_[i] = pos + 1;
+  }
+}
+
+void Relation::EraseSlot(size_t hole) {
+  size_t mask = slots_.size() - 1;
+  for (size_t j = (hole + 1) & mask; slots_[j] != 0; j = (j + 1) & mask) {
+    size_t home = ITupleHash{}(rows_[slots_[j] - 1]) & mask;
+    // Move j into the hole iff the hole lies on j's probe run, that is,
+    // j's run started at or before the hole (cyclically).
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole] = 0;
 }
 
 void Relation::RemovePosting(size_t column, ValueId id, uint32_t pos) {
@@ -150,10 +183,34 @@ common::Status Relation::AuditInvariants() const {
     }
   }
 
-  // Row store <-> membership map round-trip.
-  if (membership_.size() != rows_.size()) {
-    audit.Violation() << "membership has " << membership_.size()
-                      << " entries for " << rows_.size() << " rows";
+  // Membership table <-> row store. The table may be corrupt, so every
+  // position a slot names is range-checked before rows_ is read, and the
+  // probes below stop after one lap instead of trusting an empty slot.
+  size_t capacity = slots_.size();
+  if ((capacity & (capacity - 1)) != 0) {
+    audit.Violation() << "membership table has " << capacity
+                      << " slots, not a power of two";
+  }
+  std::vector<uint32_t> named(rows_.size(), 0);
+  size_t occupied = 0;
+  for (size_t i = 0; i < capacity; ++i) {
+    if (slots_[i] == 0) continue;
+    ++occupied;
+    uint32_t pos = slots_[i] - 1;
+    if (pos >= rows_.size()) {
+      audit.Violation() << "membership slot " << i << " names position "
+                        << pos << " past the " << rows_.size() << " rows";
+    } else {
+      ++named[pos];
+    }
+  }
+  if (occupied != rows_.size()) {
+    audit.Violation() << "membership has " << occupied << " entries for "
+                      << rows_.size() << " rows";
+  }
+  if (2 * occupied > capacity) {
+    audit.Violation() << "membership holds " << occupied << " entries in "
+                      << capacity << " slots, past half load";
   }
   for (uint32_t pos = 0; pos < rows_.size(); ++pos) {
     const ITuple& row = rows_[pos];
@@ -162,12 +219,27 @@ common::Status Relation::AuditInvariants() const {
                         << ", relation arity is " << arity_;
       continue;
     }
-    auto it = membership_.find(row);
-    if (it == membership_.end()) {
-      audit.Violation() << "row " << pos << " is missing from the membership"
-                        << " map";
-    } else if (it->second != pos) {
-      audit.Violation() << "membership points row at position " << it->second
+    if (named[pos] > 1) {
+      audit.Violation() << "membership points " << named[pos]
+                        << " slots at row " << pos;
+    }
+    // The first slot on the row's probe run that names an equal row.
+    std::optional<uint32_t> found;
+    size_t mask = capacity - 1;
+    size_t i = capacity == 0 ? 0 : ITupleHash{}(row) & mask;
+    for (size_t step = 0; step < capacity && slots_[i] != 0;
+         ++step, i = (i + 1) & mask) {
+      uint32_t named_pos = slots_[i] - 1;
+      if (named_pos < rows_.size() && rows_[named_pos] == row) {
+        found = named_pos;
+        break;
+      }
+    }
+    if (!found.has_value()) {
+      audit.Violation() << "row " << pos
+                        << " is missing from the membership table";
+    } else if (*found != pos) {
+      audit.Violation() << "membership points row at position " << *found
                         << ", stored at " << pos;
     }
   }

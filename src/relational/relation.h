@@ -2,7 +2,6 @@
 #define QOCO_RELATIONAL_RELATION_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/status.h"
@@ -19,6 +18,15 @@ namespace qoco::relational {
 /// bytes, no variant dispatch. The Value-typed entry points intern (Insert)
 /// or probe without interning (Contains/Erase/RowsWithValue) and exist for
 /// the boundaries; hot paths use the *Id twins.
+///
+/// Membership is a flat open-addressed table of row positions: each slot
+/// holds 1 + the position of a row in rows_ (0 marks an empty slot), probed
+/// linearly from ITupleHash of the tuple and compared against that row.
+/// The table has power-of-two size and load at most 1/2, and Erase
+/// backward-shifts the probe run behind the hole, so it needs no
+/// tombstones (the IdPostingMap scheme). The table holds no tuple, so
+/// copying or freeing a relation costs a few flat vector copies and no
+/// per-row heap node.
 ///
 /// Besides membership and insert/erase, a Relation maintains lazily-built
 /// per-column indexes (ValueId -> row positions; IdPostingMap) that the
@@ -65,7 +73,9 @@ class Relation {
   /// value absent from the dictionary is stored nowhere. Precondition:
   /// t.size() == arity().
   bool Contains(const Tuple& t) const;
-  bool ContainsIds(const ITuple& t) const { return membership_.contains(t); }
+  bool ContainsIds(const ITuple& t) const {
+    return !slots_.empty() && slots_[ProbeSlot(t)] != 0;
+  }
 
   /// Inserts `t`, interning its values; returns true if newly inserted
   /// (set semantics). Precondition: t.size() == arity(). Mutates the
@@ -118,13 +128,15 @@ class Relation {
   std::vector<Value> ColumnDomain(size_t column) const;
 
   /// Deep audit of every class invariant: every row id materializes through
-  /// the dictionary (no dangling/orphan ids), membership round-trips
-  /// through the row store, every built posting list entry matches its row
-  /// (no stale positions left behind by the swap-remove maintenance), no
-  /// posting list is empty, and per built column the posting counts cover
-  /// the rows exactly once. O(rows × arity) plus hashing; meant for debug
-  /// builds, fuzz checkpoints, and the corruption-injection tests — not the
-  /// hot path. Returns OK or a kInternal Status listing every violation.
+  /// the dictionary (no dangling/orphan ids), the membership table names
+  /// every row exactly once, from a slot a probe for that row reaches, and
+  /// names no position past the rows; every built posting list entry
+  /// matches its row (no stale positions left behind by the swap-remove
+  /// maintenance), no posting list is empty, and per built column the
+  /// posting counts cover the rows exactly once. O(rows × arity) plus
+  /// hashing; meant for debug builds, fuzz checkpoints, and the
+  /// corruption-injection tests — not the hot path. Returns OK or a
+  /// kInternal Status listing every violation.
   common::Status AuditInvariants() const;
 
  private:
@@ -132,6 +144,23 @@ class Relation {
   // invariant violations (tests/invariant_audit_test.cc).
   friend struct RelationCorruptor;
   void EnsureIndex(size_t column) const;
+
+  /// The slot naming `t`, or the empty slot that ends its probe run.
+  /// Precondition: slots_ is not empty.
+  size_t ProbeSlot(const ITuple& t) const {
+    size_t mask = slots_.size() - 1;
+    for (size_t i = ITupleHash{}(t) & mask;; i = (i + 1) & mask) {
+      if (slots_[i] == 0 || rows_[slots_[i] - 1] == t) return i;
+    }
+  }
+
+  /// Rebuilds the membership table at `capacity` slots (a power of two)
+  /// from rows_.
+  void RehashMembership(size_t capacity);
+
+  /// Empties slot `hole` and backward-shifts the probe run behind it.
+  /// Reads the rows the shifted slots name, so call it before rows_ moves.
+  void EraseSlot(size_t hole);
 
   /// Removes position `pos` from the posting list of `id` in `column`'s
   /// (built) index, erasing the key if the list empties.
@@ -145,7 +174,8 @@ class Relation {
   ValueDictionary* dict_;
   uint64_t version_ = 0;
   std::vector<ITuple> rows_;
-  std::unordered_map<ITuple, uint32_t, ITupleHash> membership_;
+  // Membership: 1 + a row position per occupied slot, 0 per empty one.
+  std::vector<uint32_t> slots_;
 
   // Per-column indexes, built on first use (mutable for build-on-demand)
   // and maintained incrementally afterwards. Sized to arity_ up front so a

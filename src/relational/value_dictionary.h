@@ -30,10 +30,11 @@ namespace qoco::relational {
 /// Threading contract (DESIGN.md §Concurrency): Intern* mutate and must
 /// only be called from the coordinating thread — never from a task running
 /// on a ThreadPool worker. Find/Materialize/Compare and friends are const
-/// and safe to call concurrently between interns. The evaluator compiles
-/// query constants to ids with the non-mutating Find, so evaluation never
-/// interns; the service interns every session's queries and data at
-/// admission, before the session runs on a pool worker.
+/// and safe to call concurrently between interns. Parsing a query interns
+/// nothing (terms keep their Values) and the evaluator compiles query
+/// constants to ids with the non-mutating Find, so neither ever interns.
+/// The service's one intern at admission is journal replay, which it runs
+/// on the coordinator before the session runs on a pool worker.
 class ValueDictionary {
  public:
   ValueDictionary() = default;

@@ -26,7 +26,7 @@ void QuestionBroker::Ask(SessionId sid, const crowd::Question& q,
     if (inserted) {
       stats_.oracle_issues++;
       attr.issued++;
-      e.question = q;
+      e.question = std::make_unique<crowd::Question>(q);
       e.attempt = 1;
       e.waiters.push_back(Waiter{sid, std::move(done), now});
       issue = true;
@@ -72,6 +72,8 @@ common::Result<crowd::Answer> QuestionBroker::EntryResult(
 std::vector<QuestionBroker::Waiter> QuestionBroker::Resolve(
     Entry* e, common::Result<crowd::Answer> result) {
   e->answered = true;
+  // Only a retry reads the question, and none follows an answer.
+  e->question.reset();
   if (result.ok()) {
     e->answer = std::move(result).value();
     e->status = common::Status::OK();
@@ -122,7 +124,7 @@ void QuestionBroker::OnCompletion(const std::string& sig, size_t attempt,
     } else {
       e.attempt++;
       stats_.retries++;
-      retry = {e.attempt, e.question};
+      retry = {e.attempt, *e.question};
     }
   }
   for (Waiter& w : waiters) w.done(*outcome);
@@ -151,7 +153,7 @@ void QuestionBroker::OnTimeout(const std::string& sig, size_t attempt) {
     } else {
       e.attempt++;
       stats_.retries++;
-      retry = {e.attempt, e.question};
+      retry = {e.attempt, *e.question};
     }
   }
   for (Waiter& w : waiters) w.done(*outcome);

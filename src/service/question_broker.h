@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -59,7 +60,8 @@ struct BrokerStats {
 /// (crowd::Question::Signature). The first ask issues it to the async
 /// oracle; asks arriving while it is in flight attach themselves as
 /// waiters; one completion fans out to every waiter; the answer is then
-/// cached permanently, so later asks are free. Timeouts retry with
+/// cached permanently, so later asks are free. The cache keeps the answer
+/// and the signature, not the question. Timeouts retry with
 /// doubling backoff up to max_attempts, then fail all waiters with a clean
 /// DeadlineExceeded. Dropped completions are covered by the retry path;
 /// duplicated or superseded completions are counted and discarded — an
@@ -129,8 +131,11 @@ class QuestionBroker {
     Tick asked_at = 0;
   };
 
+  /// One signature's state. Until the answer arrives the entry keeps its
+  /// question, which only the retry path reads; Resolve releases it, so an
+  /// answered entry holds its key, its result and its attempt counter.
   struct Entry {
-    crowd::Question question;  // retained for retries
+    std::unique_ptr<crowd::Question> question;  // null once answered
     bool answered = false;
     std::optional<crowd::Answer> answer;  // when answered: set XOR status !ok
     common::Status status;
@@ -147,9 +152,9 @@ class QuestionBroker {
                     common::Result<crowd::Answer> result);
   void OnTimeout(const std::string& sig, size_t attempt);
 
-  /// Marks `e` answered with `result`, drains its waiters and records
-  /// their latency samples. Returns the drained waiters for fan-out (which
-  /// the caller performs after unlocking).
+  /// Marks `e` answered with `result`, releases its question, drains its
+  /// waiters and records their latency samples. Returns the drained waiters
+  /// for fan-out (which the caller performs after unlocking).
   std::vector<Waiter> Resolve(Entry* e, common::Result<crowd::Answer> result)
       QOCO_REQUIRES(mu_);
 

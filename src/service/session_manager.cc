@@ -32,9 +32,10 @@ void SessionManager::FreeRetired() {
 }  // `retired` is destroyed here, outside the lock.
 
 common::Result<SessionId> SessionManager::Admit(SessionSpec spec) {
-  // All catalog interning happens here, on the coordinator: query constants
-  // during parsing, journal values during replay. Workers below only read
-  // the catalog.
+  // Journal replay below is the one step of a session that interns, so it
+  // runs here, on the coordinator. Parsing interns nothing (the evaluator
+  // compiles constants with the non-mutating Find); workers only read the
+  // catalog.
   std::vector<ParsedStep> steps;
   steps.reserve(spec.steps.size());
   for (const SessionSpec::Step& step : spec.steps) {

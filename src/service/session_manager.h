@@ -93,11 +93,11 @@ struct SessionResult {
 /// total order), so the commit journal is byte-identical at any thread
 /// count.
 ///
-/// Coordinator/worker split: Submit runs on the caller's thread and does all
-/// catalog interning up front (query parsing, journal replay); the pooled
-/// session bodies only read the shared catalog and write their private
-/// databases, which keeps the repo's coordinator-only interning contract
-/// intact.
+/// Coordinator/worker split: Submit runs on the caller's thread and does the
+/// one interning step of a session up front, the journal replay (query
+/// parsing interns nothing); the pooled session bodies only read the shared
+/// catalog and write their private databases, which keeps the repo's
+/// coordinator-only interning contract intact.
 ///
 /// Bounded state: a finished session's private database is retired and
 /// freed on the coordinator by the next Submit or Wait (a worker frees

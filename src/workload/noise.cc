@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
+#include <utility>
 
 #include "src/query/evaluator.h"
 
@@ -16,18 +18,40 @@ using relational::RelationId;
 using relational::Tuple;
 using relational::Value;
 
+/// The active domains of the ground truth's columns, each materialized on
+/// first use. The ground truth does not change while noise is drawn, so
+/// every draw can read the same domain.
+class ColumnDomains {
+ public:
+  explicit ColumnDomains(const Database& ground_truth)
+      : ground_truth_(ground_truth) {}
+
+  const std::vector<Value>& Get(RelationId relation, size_t column) {
+    auto [it, inserted] = domains_.try_emplace({relation, column});
+    if (inserted) {
+      it->second = ground_truth_.relation(relation).ColumnDomain(column);
+    }
+    return it->second;
+  }
+
+ private:
+  const Database& ground_truth_;
+  std::map<std::pair<RelationId, size_t>, std::vector<Value>> domains_;
+};
+
 /// Fabricates a false fact by perturbing one column of a random true fact
-/// to another value from that column's active domain. Returns a fact that
-/// is in neither `ground_truth` nor `db`, or nullopt after too many tries.
+/// (drawn from `pool`, the ground truth's facts) to another value from that
+/// column's active domain. Returns a fact that is in neither `ground_truth`
+/// nor `db`, or nullopt after too many tries.
 std::optional<Fact> FabricateFalseFact(const Database& ground_truth,
+                                       const std::vector<Fact>& pool,
+                                       ColumnDomains* domains,
                                        const Database& db, common::Rng* rng) {
-  std::vector<Fact> pool = ground_truth.AllFacts();
   if (pool.empty()) return std::nullopt;
   for (int attempt = 0; attempt < 200; ++attempt) {
     Fact fact = pool[rng->Index(pool.size())];
     size_t column = rng->Index(fact.tuple.size());
-    std::vector<Value> domain =
-        ground_truth.relation(fact.relation).ColumnDomain(column);
+    const std::vector<Value>& domain = domains->Get(fact.relation, column);
     if (domain.size() < 2) continue;
     fact.tuple[column] = domain[rng->Index(domain.size())];
     if (!ground_truth.Contains(fact) && !db.Contains(fact)) return fact;
@@ -64,8 +88,11 @@ common::Result<Database> MakeDirty(const Database& ground_truth,
     QOCO_RETURN_NOT_OK(db.Erase(facts[i]).status());
   }
   // Add f fabricated false facts.
+  const std::vector<Fact> pool = ground_truth.AllFacts();
+  ColumnDomains domains(ground_truth);
   for (size_t i = 0; i < f; ++i) {
-    std::optional<Fact> fake = FabricateFalseFact(ground_truth, db, &rng);
+    std::optional<Fact> fake =
+        FabricateFalseFact(ground_truth, pool, &domains, db, &rng);
     if (!fake.has_value()) break;
     QOCO_RETURN_NOT_OK(db.Insert(*fake).status());
   }
@@ -106,6 +133,7 @@ common::Status PlantWrongAnswersByNoise(const query::CQuery& q,
   size_t noise_budget = 8 * num_wrong + 8;
   size_t max_attempts = 400 * (num_wrong + 1);
   size_t stalled_attempts = 0;
+  ColumnDomains domains(ground_truth);
   for (size_t attempt = 0;
        attempt < max_attempts && wrong_count < num_wrong; ++attempt) {
     query::Evaluator eval(db);
@@ -128,21 +156,22 @@ common::Status PlantWrongAnswersByNoise(const query::CQuery& q,
     Fact fact = relational::MaterializeFact(
         witness.facts()[rng->Index(witness.facts().size())], *witness.dict());
     size_t column = rng->Index(fact.tuple.size());
-    std::vector<Value> domain =
-        ground_truth.relation(fact.relation).ColumnDomain(column);
+    const std::vector<Value>* domain = &domains.Get(fact.relation, column);
     // When every in-domain substitution keeps minting true answers (a
     // saturated query such as "teams that lost two games"), escalate the
     // rate of fabricated out-of-domain values (scraping artifacts).
     double bogus_chance = stalled_attempts > 50 ? 0.5 : 0.05;
-    if (rng->Chance(bogus_chance) || domain.size() < 2) {
+    std::vector<Value> bogus;
+    if (rng->Chance(bogus_chance) || domain->size() < 2) {
       // Draw fabricated values from a small pool so that repeated
       // fabrications can collide and jointly form witnesses (self-join
       // queries need the same phantom entity twice).
-      domain.assign(
+      bogus.assign(
           1, Value("bogus_" + std::to_string(rng->Uniform(
                        0, static_cast<int64_t>(num_wrong)))));
+      domain = &bogus;
     }
-    fact.tuple[column] = domain[rng->Index(domain.size())];
+    fact.tuple[column] = (*domain)[rng->Index(domain->size())];
     if (ground_truth.Contains(fact) || db->Contains(fact)) continue;
     QOCO_RETURN_NOT_OK(db->Insert(fact).status());
     std::vector<Tuple> wrong_now = SetMinus(Answers(q, *db), truth_answers);
@@ -184,8 +213,7 @@ common::Status PlantWrongAnswersByNoise(const query::CQuery& q,
     Fact fact = relational::MaterializeFact(
         witness.facts()[rng->Index(witness.facts().size())], *witness.dict());
     size_t column = rng->Index(fact.tuple.size());
-    std::vector<Value> domain =
-        ground_truth.relation(fact.relation).ColumnDomain(column);
+    const std::vector<Value>& domain = domains.Get(fact.relation, column);
     if (domain.size() < 2) continue;
     fact.tuple[column] = domain[rng->Index(domain.size())];
     if (ground_truth.Contains(fact) || db->Contains(fact)) continue;

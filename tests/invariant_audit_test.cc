@@ -10,8 +10,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -37,12 +37,16 @@ struct RelationCorruptor {
     // mutable member; creates the posting list if absent
     return r.column_index_[column][r.dict_->Intern(v)];
   }
-  static std::unordered_map<ITuple, uint32_t, ITupleHash>& Membership(
-      Relation& r) {
-    return r.membership_;
+  // The membership table: 1 + a row position per occupied slot.
+  static std::vector<uint32_t>& Slots(Relation& r) { return r.slots_; }
+  // The slot naming `t`, which must be stored.
+  static size_t SlotOf(const Relation& r, const ITuple& t) {
+    size_t slot = r.ProbeSlot(t);
+    EXPECT_NE(r.slots_[slot], 0u) << "tuple is not stored";
+    return slot;
   }
-  static ITuple Ids(const Relation& r, const Tuple& t) {
-    return InternTuple(t, r.dict_);
+  static size_t SlotOf(const Relation& r, const Tuple& t) {
+    return SlotOf(r, *FindTuple(t, *r.dict_));
   }
   // Databases only hand out const relations; the corruptor is the one place
   // allowed to break that seal.
@@ -127,18 +131,191 @@ TEST(RelationAuditTest, DetectsEmptyPostingList) {
 TEST(RelationAuditTest, DetectsMembershipPointingAtWrongRow) {
   ValueDictionary dict;
   Relation r = MakeIndexedRelation(&dict);
-  auto& membership = RelationCorruptor::Membership(r);
-  membership[RelationCorruptor::Ids(r, Tuple{Value("a"), Value(1)})] = 3;
-  ExpectViolation(r.AuditInvariants(), "membership points");
+  // Repoint the slot of row 0 ("a", 1) at row 3 ("c", 3): row 3 is named
+  // twice and row 0 by no slot.
+  RelationCorruptor::Slots(r)[RelationCorruptor::SlotOf(
+      r, {Value("a"), Value(1)})] = 3 + 1;
+  common::Status audit = r.AuditInvariants();
+  ExpectViolation(audit, "membership points 2 slots at row 3");
+  ExpectViolation(audit, "row 0 is missing from the membership table");
 }
 
 TEST(RelationAuditTest, DetectsMissingMembershipEntry) {
   ValueDictionary dict;
   Relation r = MakeIndexedRelation(&dict);
-  RelationCorruptor::Membership(r).erase(
-      RelationCorruptor::Ids(r, Tuple{Value("b"), Value(2)}));
-  ExpectViolation(r.AuditInvariants(), "missing from the membership map");
+  RelationCorruptor::Slots(r)[RelationCorruptor::SlotOf(
+      r, {Value("b"), Value(2)})] = 0;
+  common::Status audit = r.AuditInvariants();
+  ExpectViolation(audit, "row 2 is missing from the membership table");
+  ExpectViolation(audit, "membership has 3 entries for 4 rows");
 }
+
+TEST(RelationAuditTest, DetectsMembershipSlotPastTheRows) {
+  ValueDictionary dict;
+  Relation r = MakeIndexedRelation(&dict);
+  // A slot on row 1's own probe run names position 99: the audit must
+  // report it without reading rows_[99] (an out-of-range read aborts under
+  // the sanitizer presets' _GLIBCXX_ASSERTIONS).
+  size_t slot = RelationCorruptor::SlotOf(r, {Value("a"), Value(2)});
+  RelationCorruptor::Slots(r)[slot] = 99 + 1;
+  common::Status audit = r.AuditInvariants();
+  ExpectViolation(audit, "membership slot " + std::to_string(slot) +
+                             " names position 99 past the 4 rows");
+  ExpectViolation(audit, "row 1 is missing from the membership table");
+}
+
+// Raw-id lexicographic order, for the reference set only: nothing here
+// renders tuples, so interning order never reaches an output.
+struct RawIdLess {
+  bool operator()(const ITuple& a, const ITuple& b) const {
+    return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                        b.end());
+  }
+};
+
+// A relation and the std::set it must equal, edited in lockstep.
+struct MembershipTwin {
+  Relation rel;
+  std::set<ITuple, RawIdLess> ref;
+};
+
+// What the randomized membership test must have exercised.
+struct MembershipCoverage {
+  size_t growths = 0;
+  size_t last_row_erases = 0;
+  size_t wrapped_shifts = 0;
+};
+
+class RelationMembershipTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  // A tuple over a per-column domain of inline integers, sized so that
+  // domain^arity exceeds the largest relation the test grows.
+  ITuple RandomTuple(common::Rng* rng) const {
+    static constexpr size_t kDomain[] = {0, 600, 25, 0, 0, 4, 0, 0, 3};
+    ITuple t;
+    for (size_t c = 0; c < GetParam(); ++c) {
+      t.push_back(MakeInlineInt(
+          static_cast<int64_t>(rng->Index(kDomain[GetParam()]))));
+    }
+    return t;
+  }
+
+  // One random edit or probe of `twin`, checked against its reference.
+  // Below `cap` rows the edit inserts a fresh tuple with `insert_bias`;
+  // at or above it, it inserts only tuples already stored.
+  void Step(MembershipTwin* twin, common::Rng* rng, double insert_bias,
+            size_t cap, MembershipCoverage* coverage) {
+    Relation& rel = twin->rel;
+    const std::vector<uint32_t>& slots = RelationCorruptor::Slots(rel);
+    ITuple t = RandomTuple(rng);
+    size_t op = rng->Index(10);
+    if (op < 2 && !rel.empty()) {
+      // Duplicate insert of a stored row, or erase of the last row.
+      ITuple stored = rel.rows()[rel.size() - 1];
+      if (op == 0) {
+        EXPECT_FALSE(rel.InsertIds(stored));
+        return;
+      }
+      t = stored;
+      ++coverage->last_row_erases;
+    } else if (op < 2 || rng->Chance(insert_bias)) {
+      if (rel.size() >= cap && !twin->ref.contains(t)) return;
+      size_t before = slots.size();
+      EXPECT_EQ(rel.InsertIds(t), twin->ref.insert(t).second);
+      if (slots.size() > before) ++coverage->growths;
+      return;
+    } else if (op < 4) {
+      EXPECT_EQ(rel.ContainsIds(t), twin->ref.contains(t));
+      return;
+    } else if (op < 7 && !rel.empty()) {
+      t = rel.rows()[rng->Index(rel.size())];  // a present tuple
+    }
+    if (!rel.ContainsIds(t)) {
+      EXPECT_FALSE(rel.EraseIds(t));  // absent
+      EXPECT_EQ(twin->ref.erase(t), 0u);
+      return;
+    }
+    // Present: erase it, and record whether the backward shift wrapped
+    // around the table end, that is, changed a slot below the hole other
+    // than by renaming the swap-removed last row.
+    std::vector<uint32_t> before = slots;
+    size_t hole = RelationCorruptor::SlotOf(rel, t);
+    uint32_t pos = before[hole] - 1;
+    uint32_t last = static_cast<uint32_t>(rel.size()) - 1;
+    EXPECT_TRUE(rel.EraseIds(t));
+    EXPECT_EQ(twin->ref.erase(t), 1u);
+    for (size_t i = 0; i < hole; ++i) {
+      uint32_t renamed = before[i] == last + 1 ? pos + 1 : before[i];
+      if (slots[i] != renamed) {
+        ++coverage->wrapped_shifts;
+        break;
+      }
+    }
+  }
+
+  // Full comparison against the reference, plus the deep audit.
+  static void ExpectMatches(const MembershipTwin& twin) {
+    ASSERT_EQ(twin.rel.size(), twin.ref.size());
+    for (const ITuple& t : twin.ref) ASSERT_TRUE(twin.rel.ContainsIds(t));
+    for (const ITuple& row : twin.rel.rows()) {
+      ASSERT_TRUE(twin.ref.contains(row));
+    }
+    common::Status audit = twin.rel.AuditInvariants();
+    ASSERT_TRUE(audit.ok()) << audit.ToString();
+  }
+};
+
+TEST_P(RelationMembershipTest, MatchesASetReferenceUnderRandomEdits) {
+  ValueDictionary dict;
+  MembershipTwin twin{Relation(GetParam(), &dict), {}};
+  common::Rng rng(20150531 + GetParam());
+  MembershipCoverage coverage;
+  constexpr size_t kAuditEvery = 7;
+
+  // Churn at 16 slots, where probe runs often cross the table end. The cap
+  // of 7 rows keeps the table there: an insert into 8 rows grows it (load
+  // at most 1/2, counting the new row).
+  for (size_t step = 0; step < 1500; ++step) {
+    Step(&twin, &rng, 0.5, 7, &coverage);
+    if (step % kAuditEvery == 0) ExpectMatches(twin);
+  }
+  EXPECT_EQ(RelationCorruptor::Slots(twin.rel).size(), 16u);
+
+  // Grow to a few hundred rows with column 0's index built, so erases also
+  // patch posting lists; copy midway and edit both copies apart.
+  twin.rel.RowsWithId(0, MakeInlineInt(0));
+  for (size_t step = 0; step < 1000; ++step) {
+    Step(&twin, &rng, 0.8, 400, &coverage);
+    if (step % kAuditEvery == 0) ExpectMatches(twin);
+  }
+  MembershipTwin copy = twin;
+  common::Rng copy_rng = rng.Fork();
+  for (size_t step = 0; step < 1500; ++step) {
+    Step(&twin, &rng, 0.7, 400, &coverage);
+    Step(&copy, &copy_rng, 0.3, 400, &coverage);
+    if (step % kAuditEvery == 0) {
+      ExpectMatches(twin);
+      ExpectMatches(copy);
+    }
+  }
+
+  // Drain both to empty through erases of present rows and the last row.
+  for (MembershipTwin* drained : {&twin, &copy}) {
+    for (size_t step = 0; !drained->rel.empty() && step < 20000; ++step) {
+      Step(drained, &rng, 0.1, 400, &coverage);
+      if (step % kAuditEvery == 0) ExpectMatches(*drained);
+    }
+    ExpectMatches(*drained);
+    EXPECT_TRUE(drained->rel.empty());
+  }
+  EXPECT_GE(coverage.growths, 4u);
+  EXPECT_GT(coverage.last_row_erases, 0u);
+  EXPECT_GT(coverage.wrapped_shifts, 0u);
+}
+
+// Arity 8 spills ITuple past its inline buffer to the heap.
+INSTANTIATE_TEST_SUITE_P(Arities, RelationMembershipTest,
+                         ::testing::Values(1, 2, 5, 8));
 
 TEST(DatabaseAuditTest, PrefixesViolationsWithTheRelationName) {
   Catalog catalog;
@@ -149,7 +326,9 @@ TEST(DatabaseAuditTest, PrefixesViolationsWithTheRelationName) {
   ASSERT_TRUE(db.Insert({s, {Value("t")}}).ok());
   EXPECT_TRUE(db.AuditInvariants().ok());
 
-  RelationCorruptor::Membership(RelationCorruptor::Mutable(db, s)).clear();
+  std::vector<uint32_t>& slots =
+      RelationCorruptor::Slots(RelationCorruptor::Mutable(db, s));
+  std::fill(slots.begin(), slots.end(), 0);
   common::Status audit = db.AuditInvariants();
   ExpectViolation(audit, "Team");
   EXPECT_EQ(audit.message().find("Player"), std::string::npos);

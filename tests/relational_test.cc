@@ -202,11 +202,29 @@ TEST_F(DatabaseTest, FactToString) {
 }
 
 TEST_F(DatabaseTest, CopyIsDeep) {
-  ASSERT_TRUE(db_->Insert(Fact{s_, {Value("v")}}).ok());
+  auto fact = [&](const char* v) { return Fact{s_, {Value(v)}}; };
+  for (const char* v : {"u", "v", "w"}) ASSERT_TRUE(db_->Insert(fact(v)).ok());
   Database copy = *db_;
-  ASSERT_TRUE(copy.Erase(Fact{s_, {Value("v")}}).ok());
-  EXPECT_TRUE(db_->Contains(Fact{s_, {Value("v")}}));
-  EXPECT_FALSE(copy.Contains(Fact{s_, {Value("v")}}));
+
+  // Edits to the copy stay out of the original: an erase from the middle
+  // (which moves the last row into the hole) and an insert.
+  ASSERT_TRUE(copy.Erase(fact("u")).ok());
+  ASSERT_TRUE(copy.Insert(fact("x")).ok());
+  EXPECT_TRUE(db_->Contains(fact("u")));
+  EXPECT_FALSE(db_->Contains(fact("x")));
+
+  // Edits to the original stay out of the copy.
+  ASSERT_TRUE(db_->Erase(fact("w")).ok());
+  ASSERT_TRUE(db_->Insert(fact("y")).ok());
+  EXPECT_TRUE(copy.Contains(fact("w")));
+  EXPECT_FALSE(copy.Contains(fact("y")));
+
+  EXPECT_EQ(db_->AllFacts(),
+            (std::vector<Fact>{fact("u"), fact("v"), fact("y")}));
+  EXPECT_EQ(copy.AllFacts(),
+            (std::vector<Fact>{fact("w"), fact("v"), fact("x")}));
+  EXPECT_TRUE(db_->AuditInvariants().ok());
+  EXPECT_TRUE(copy.AuditInvariants().ok());
 }
 
 TEST(FactTest, OrderingAndHash) {

@@ -7,8 +7,11 @@
 #include <cmath>
 #include <memory>
 #include <set>
+#include <string>
 
+#include "src/common/strings.h"
 #include "src/query/evaluator.h"
+#include "src/relational/csv.h"
 #include "src/workload/dbgroup.h"
 #include "src/workload/noise.h"
 #include "src/workload/soccer.h"
@@ -172,6 +175,28 @@ TEST(NoiseTest, MakeDirtyMatchesCleanlinessAndSkew) {
         EXPECT_NEAR(achieved_skew, skew, 0.05);
       }
     }
+  }
+}
+
+TEST(NoiseTest, MakeDirtyKeepsItsBytes) {
+  // The dirty instance is a function of the ground truth and the seed. Pin
+  // one per skew (hash and length of its CSV), so a change to how the
+  // noise is drawn shows even where cleanliness and skew still match.
+  auto data = MakeSoccerData(SoccerParams{});
+  ASSERT_TRUE(data.ok());
+  struct Pin {
+    double skew;
+    uint64_t hash;
+    size_t bytes;
+  };
+  for (const Pin& pin : {Pin{0.0, 0x7b49b0caa60d19ffULL, 83838},
+                         Pin{0.5, 0xf69dc31394b98710ULL, 104752},
+                         Pin{1.0, 0x3008ff9fd68eda55ULL, 131057}}) {
+    auto dirty = MakeDirty(*data->ground_truth, {0.8, pin.skew, /*seed=*/3});
+    ASSERT_TRUE(dirty.ok());
+    std::string csv = relational::DatabaseToCsv(*dirty);
+    EXPECT_EQ(csv.size(), pin.bytes) << "skew " << pin.skew;
+    EXPECT_EQ(common::StableHash64(csv), pin.hash) << "skew " << pin.skew;
   }
 }
 
