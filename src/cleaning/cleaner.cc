@@ -28,6 +28,20 @@ std::span<const query::CQuery> Disjuncts(const query::UnionQuery& q) {
   return q.disjuncts();
 }
 
+/// Starts the view of `q`: from a copy of `seed` when there is one,
+/// otherwise by evaluating. Union views always evaluate.
+query::IncrementalView StartView(const query::CQuery& q,
+                                 const relational::Database* db,
+                                 const query::ViewSeed* seed) {
+  if (seed == nullptr) return query::IncrementalView(q, db);
+  return query::IncrementalView(q, db, *seed);
+}
+query::IncrementalUnionView StartView(const query::UnionQuery& q,
+                                      const relational::Database* db,
+                                      const query::ViewSeed* /*seed*/) {
+  return query::IncrementalUnionView(q, db);
+}
+
 /// The view's current answers, sorted.
 std::vector<relational::Tuple> Answers(const query::IncrementalView& view) {
   return view.result().AnswerTuples();
@@ -81,14 +95,16 @@ common::Result<InsertResult> InsertMissingAnswer(
   return out;
 }
 
-/// Algorithm 3's loop over a `View` of `q` (query::IncrementalView for a
-/// CQuery, query::IncrementalUnionView for a UnionQuery).
-template <typename View, typename Query>
+/// Algorithm 3's loop over the view of `q` (query::IncrementalView for a
+/// CQuery, query::IncrementalUnionView for a UnionQuery), started from
+/// `seed` when there is one (see StartView).
+template <typename Query>
 common::Result<CleanerStats> RunAlgorithm3(const Query& q,
                                            relational::Database* db,
                                            crowd::CrowdPanel* panel,
                                            const CleanerConfig& config,
-                                           common::Rng* rng) {
+                                           common::Rng* rng,
+                                           const query::ViewSeed* seed) {
   CleanerStats stats;
   // EXPLAIN hook: dump each query plan once, before any edit, when the
   // environment asks for it. Diagnostics only — stderr, so transcripts on
@@ -100,8 +116,8 @@ common::Result<CleanerStats> RunAlgorithm3(const Query& q,
       std::fputs(evaluator.ExplainPlan(disjunct).c_str(), stderr);
     }
   }
-  // Pay full-query cost once here, delta cost per edit.
-  View view(q, db);
+  // Pay full-query cost once here (or in the seed), delta cost per edit.
+  auto view = StartView(q, db, seed);
   common::AuditTicker audit_ticker(kDebugAuditPeriod);
   std::set<relational::Tuple> verified;
   crowd::QuestionCounts baseline = panel->counts();
@@ -121,20 +137,18 @@ common::Result<CleanerStats> RunAlgorithm3(const Query& q,
     first_iteration = false;
     ++stats.iterations;
 
-    // Deletion part (lines 2-6): verify every unverified answer; remove
-    // the wrong ones. The view refreshes after each removal since edits
-    // can change the result.
+    // Deletion part (lines 2-6): verify every unverified answer in order;
+    // remove the wrong ones. Every answer before `next` is verified. A
+    // removal only erases answers, so after one the scan resumes at t's
+    // sorted place in the refreshed answers: t itself may survive its own
+    // removal when the crowd is imperfect.
+    size_t next = 0;
     while (config.do_deletion) {
-      current = Answers(view);
-      const relational::Tuple* next_unverified = nullptr;
-      for (const relational::Tuple& t : current) {
-        if (!verified.contains(t)) {
-          next_unverified = &t;
-          break;
-        }
+      while (next < current.size() && verified.contains(current[next])) {
+        ++next;
       }
-      if (next_unverified == nullptr) break;
-      relational::Tuple t = *next_unverified;
+      if (next == current.size()) break;
+      const relational::Tuple t = current[next];
       if (panel->VerifyAnswer(q, t)) {
         verified.insert(t);
         continue;
@@ -157,6 +171,10 @@ common::Result<CleanerStats> RunAlgorithm3(const Query& q,
                          removal.edits.end());
       stats.deletion_upper_bound += removal.distinct_witness_facts;
       ++stats.wrong_answers_removed;
+      current = Answers(view);
+      next = static_cast<size_t>(
+          std::lower_bound(current.begin(), current.end(), t) -
+          current.begin());
     }
 
     // Insertion part (lines 7-9): enumerate missing answers with the
@@ -198,13 +216,11 @@ common::Result<CleanerStats> RunAlgorithm3(const Query& q,
 }  // namespace
 
 common::Result<CleanerStats> QocoCleaner::Run() {
-  return RunAlgorithm3<query::IncrementalView>(q_, db_, panel_, config_,
-                                               &rng_);
+  return RunAlgorithm3(q_, db_, panel_, config_, &rng_, seed_);
 }
 
 common::Result<CleanerStats> UnionCleaner::Run() {
-  return RunAlgorithm3<query::IncrementalUnionView>(q_, db_, panel_, config_,
-                                                    &rng_);
+  return RunAlgorithm3(q_, db_, panel_, config_, &rng_, /*seed=*/nullptr);
 }
 
 }  // namespace qoco::cleaning

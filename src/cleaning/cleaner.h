@@ -13,6 +13,10 @@
 #include "src/query/query.h"
 #include "src/relational/database.h"
 
+namespace qoco::query {
+struct ViewSeed;
+}  // namespace qoco::query
+
 namespace qoco::cleaning {
 
 /// Every how many view syncs the cleaning loops deep-audit the maintained
@@ -92,11 +96,18 @@ struct CleanerStats {
 class QocoCleaner {
  public:
   /// `db` is cleaned in place; `panel` supplies the crowd; all must
-  /// outlive the cleaner.
+  /// outlive the cleaner. With a `seed` (query::MakeViewSeed of `q` over a
+  /// copy of `db`, see query::IncrementalView), the view starts from a copy
+  /// of it instead of evaluating `q`; the session is the same either way.
   QocoCleaner(const query::CQuery& q, relational::Database* db,
               crowd::CrowdPanel* panel, CleanerConfig config,
-              common::Rng rng)
-      : q_(q), db_(db), panel_(panel), config_(config), rng_(rng) {}
+              common::Rng rng, const query::ViewSeed* seed = nullptr)
+      : q_(q),
+        db_(db),
+        panel_(panel),
+        config_(config),
+        rng_(rng),
+        seed_(seed) {}
 
   /// Runs the cleaning session to convergence (or the iteration cap).
   common::Result<CleanerStats> Run();
@@ -107,6 +118,7 @@ class QocoCleaner {
   crowd::CrowdPanel* panel_;
   CleanerConfig config_;
   common::Rng rng_;
+  const query::ViewSeed* seed_;
 };
 
 /// Algorithm 3 over a union of conjunctive queries (the paper's results

@@ -28,9 +28,9 @@ common::Result<cleaning::CleanerStats> Session::CleanView(
 }
 
 common::Result<cleaning::CleanerStats> Session::CleanView(
-    const query::CQuery& q) {
+    const query::CQuery& q, const query::ViewSeed* seed) {
   cleaning::QocoCleaner cleaner(q, db_, &panel_, options_.cleaner,
-                                rng_.Fork());
+                                rng_.Fork(), seed);
   QOCO_ASSIGN_OR_RETURN(cleaning::CleanerStats stats, cleaner.Run());
   JournalEdits(stats.edits);
   return stats;

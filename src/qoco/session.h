@@ -19,9 +19,9 @@ namespace qoco {
 /// database and one crowd, cleaning any number of views.
 ///
 /// A Session owns the crowd panel (so verdicts are cached and never
-/// re-asked across views), accumulates a durable journal of every applied
-/// edit (see relational::EditJournal), and exposes one call per view
-/// language: conjunctive queries, unions, and COUNT aggregates.
+/// re-asked across views), accumulates an in-memory journal of every
+/// applied edit (see relational::EditJournal), and exposes one call per
+/// view language: conjunctive queries, unions, and COUNT aggregates.
 ///
 ///   qoco::Session session(&db, {&oracle});
 ///   auto stats = session.CleanView(
@@ -47,8 +47,12 @@ class Session {
   common::Result<cleaning::CleanerStats> CleanView(
       std::string_view query_text);
 
-  /// Repairs an already-parsed view.
-  common::Result<cleaning::CleanerStats> CleanView(const query::CQuery& q);
+  /// Repairs an already-parsed view. With a `seed` (query::MakeViewSeed
+  /// of `q` over a copy of this session's database as it is now), the view
+  /// starts from a copy of the seed instead of evaluating `q`; the
+  /// transcript is the same either way.
+  common::Result<cleaning::CleanerStats> CleanView(
+      const query::CQuery& q, const query::ViewSeed* seed = nullptr);
 
   /// Repairs a union view (';'-separated disjuncts in text form).
   common::Result<cleaning::CleanerStats> CleanUnionView(
@@ -63,7 +67,7 @@ class Session {
   /// Crowd interaction accumulated across all views of this session.
   const crowd::QuestionCounts& questions() const { return panel_.counts(); }
 
-  /// Durable journal of every edit applied in this session, replayable
+  /// In-memory journal of every edit applied in this session, replayable
   /// with relational::ReplayJournal over a pre-session snapshot.
   const relational::EditJournal& journal() const { return journal_; }
 

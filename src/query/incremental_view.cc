@@ -37,15 +37,39 @@ bool PinAtomToTuple(const Atom& atom, const relational::ITuple& tuple,
 
 }  // namespace
 
+ViewSeed MakeViewSeed(const CQuery& q, const relational::Database& db) {
+  ViewSeed seed;
+  seed.result = Evaluator(&db).Evaluate(q);
+  // A seed keeps answers and witness sets only. Assigning a fresh vector
+  // (unlike clear()) also frees the lists' memory.
+  for (AnswerInfo& info : seed.result.mutable_answers()) {
+    info.assignments = std::vector<Assignment>();
+  }
+  std::vector<relational::RelationId> relations;
+  for (const Atom& atom : q.atoms()) relations.push_back(atom.relation);
+  std::sort(relations.begin(), relations.end());
+  relations.erase(std::unique(relations.begin(), relations.end()),
+                  relations.end());
+  for (relational::RelationId rel : relations) {
+    const relational::Relation& instance = db.relation(rel);
+    for (size_t col = 0; col < instance.arity(); ++col) {
+      if (instance.IndexBuilt(col)) seed.columns.emplace_back(rel, col);
+    }
+  }
+  return seed;
+}
+
 IncrementalView::IncrementalView(CQuery q, const relational::Database* db)
+    : IncrementalView(q, db, MakeViewSeed(q, *db)) {}
+
+IncrementalView::IncrementalView(CQuery q, const relational::Database* db,
+                                 ViewSeed seed)
     : q_(std::move(q)),
       db_(db),
       evaluator_(db),
-      result_(evaluator_.Evaluate(q_)) {
-  // The view keeps answers and witness sets only. Assigning a fresh vector
-  // (unlike clear()) also frees the lists' memory.
-  for (AnswerInfo& info : result_.mutable_answers()) {
-    info.assignments = std::vector<Assignment>();
+      result_(std::move(seed.result)) {
+  for (const auto& [rel, col] : seed.columns) {
+    db_->relation(rel).ColumnPostings(col);  // Builds the index if cold.
   }
 }
 

@@ -1,6 +1,7 @@
 #ifndef QOCO_QUERY_INCREMENTAL_VIEW_H_
 #define QOCO_QUERY_INCREMENTAL_VIEW_H_
 
+#include <utility>
 #include <vector>
 
 #include "src/provenance/witness.h"
@@ -10,16 +11,37 @@
 
 namespace qoco::query {
 
+/// What an IncrementalView over Q and D starts from: Q(D) with each
+/// answer's witness set and no assignments, plus every column index of Q's
+/// relations that is built once Q has been evaluated over D.
+///
+/// A seed lets several views over identical databases pay for one
+/// evaluation (the session service shares one per query and snapshot). The
+/// indexes are part of it because a posting list's order follows its
+/// history: a list built before a swap-remove erase is patched in place,
+/// one built after it lists the surviving rows in row order. Limited
+/// searches enumerate in posting-list order, and the first extension they
+/// find reaches crowd questions. So a view started from a seed builds the
+/// seed's columns before any edit, as the evaluation would have.
+struct ViewSeed {
+  EvalResult result;
+  /// (relation, column) pairs, by relation then column.
+  std::vector<std::pair<relational::RelationId, size_t>> columns;
+};
+
+/// Evaluates Q over `db` once and records the seed.
+ViewSeed MakeViewSeed(const CQuery& q, const relational::Database& db);
+
 /// Incrementally maintained materialization of Q(D) with provenance.
 ///
 /// The cleaning loop of Algorithm 4 applies one insert/delete edit per
 /// oracle round and then needs the refreshed view; re-evaluating Q from
 /// scratch each round makes the session quadratic in practice. An
-/// IncrementalView pays the full-evaluation cost once (at construction),
-/// keeps each answer's tuple and witness set (the assignment lists the
-/// evaluation built them from are released), and maintains both under
-/// single-fact deltas with the standard delta-rule decomposition for
-/// monotone queries:
+/// IncrementalView pays the full-evaluation cost once (at construction, or
+/// in the ViewSeed it starts from), keeps each answer's tuple and witness
+/// set (the assignment lists the evaluation built them from are released),
+/// and maintains both under single-fact deltas with the standard
+/// delta-rule decomposition for monotone queries:
 ///
 ///  * insert of fact f into R: for every body atom over R, unify the atom
 ///    with f (pinning it) and search for extensions of that partial
@@ -44,8 +66,16 @@ namespace qoco::query {
 /// that applied several edits may replay them in any order.
 class IncrementalView {
  public:
-  /// Evaluates Q(D) once. `db` must outlive the view; the query is copied.
+  /// Evaluates Q(D) once (MakeViewSeed) and starts from that seed. `db`
+  /// must outlive the view; the query is copied.
   IncrementalView(CQuery q, const relational::Database* db);
+
+  /// Starts from `seed` without evaluating: builds the seed's columns on
+  /// `db`, then takes its answers. `seed` must be MakeViewSeed(q, d) for a
+  /// database d that had db's rows and built indexes before it was
+  /// evaluated (a copy of db, or db copied from it); then the view and
+  /// every posting list of db equal what the constructor above makes.
+  IncrementalView(CQuery q, const relational::Database* db, ViewSeed seed);
 
   const CQuery& query() const { return q_; }
 

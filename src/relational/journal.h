@@ -10,11 +10,11 @@
 
 namespace qoco::relational {
 
-/// A durable, human-readable journal of database edits (write-ahead-log
-/// style). Cleaning sessions are long-lived, crowd answers are expensive,
-/// and the repairs they produce should survive a crash: a deployment
-/// snapshots the database (DatabaseToCsv) and appends every applied edit
-/// to a journal; recovery replays the journal over the snapshot.
+/// An in-memory, human-readable journal of database edits, one record per
+/// edit in write-ahead-log style. It is a string: nothing is written to a
+/// file or synced, so it outlives a crash only if its owner writes it out.
+/// A snapshot of the database (DatabaseToCsv) with the journal's records
+/// replayed over it (ReplayJournal) gives the edited database.
 ///
 /// Record format, one edit per line:
 ///

@@ -118,6 +118,11 @@ class Relation {
     return column_index_[column];
   }
 
+  /// True iff `column`'s index is built (and so maintained from now on).
+  /// Unlike every probe above, it builds nothing. Precondition:
+  /// column < arity().
+  bool IndexBuilt(size_t column) const { return index_valid_[column]; }
+
   /// Number of rows whose `column` equals the value behind `id`.
   /// Equivalent to RowsWithId(column, id).size(); spelled out so call sites
   /// that only need a cardinality (e.g. join-order scoring) don't read as

@@ -136,11 +136,18 @@ void SessionManager::RunOne(SessionId id) {
   options.seed = state->seed;
   qoco::Session session(state->db.get(), {&shim}, options);
 
+  // Only the first step reads the snapshot as it was admitted.
+  std::shared_ptr<const query::ViewSeed> seed;
+  if (!state->steps.empty() && state->steps.front().cquery.has_value()) {
+    seed = SeedFor(*state->steps.front().cquery, state->base_snapshot,
+                   *state->db);
+  }
   common::Status status = common::Status::OK();
   for (const ParsedStep& step : state->steps) {
     common::Result<cleaning::CleanerStats> stats =
-        step.cquery.has_value() ? session.CleanView(*step.cquery)
+        step.cquery.has_value() ? session.CleanView(*step.cquery, seed.get())
                                 : session.CleanUnionView(*step.union_query);
+    seed = nullptr;
     if (!stats.ok()) {
       status = stats.status();
       break;
@@ -160,6 +167,29 @@ void SessionManager::RunOne(SessionId id) {
     common::MutexLock lk(mu_);
     state->result = std::move(result);
   }
+}
+
+std::shared_ptr<const query::ViewSeed> SessionManager::SeedFor(
+    const query::CQuery& q, relational::JournalSnapshot snapshot,
+    const relational::Database& db) {
+  std::string signature = q.Signature();
+  {
+    common::MutexLock lk(mu_);
+    auto it = seeds_.find(signature);
+    if (it != seeds_.end() && it->second.snapshot == snapshot) {
+      seed_adoptions_++;
+      return it->second.seed;
+    }
+  }
+  auto seed =
+      std::make_shared<const query::ViewSeed>(query::MakeViewSeed(q, db));
+  common::MutexLock lk(mu_);
+  auto [it, inserted] = seeds_.try_emplace(std::move(signature));
+  // Commit-journal snapshots are prefixes, so more bytes is newer.
+  if (inserted || it->second.snapshot.bytes < snapshot.bytes) {
+    it->second = SeedEntry{snapshot, seed};
+  }
+  return seed;
 }
 
 std::optional<SessionId> SessionManager::FinishAndDequeue(SessionId id) {
@@ -259,6 +289,16 @@ size_t SessionManager::PrivateDatabases() const {
     if (state->db != nullptr) live++;
   }
   return live;
+}
+
+size_t SessionManager::ViewSeeds() const {
+  common::MutexLock lk(mu_);
+  return seeds_.size();
+}
+
+size_t SessionManager::ViewSeedAdoptions() const {
+  common::MutexLock lk(mu_);
+  return seed_adoptions_;
 }
 
 size_t SessionManager::QueuedSessions() const {

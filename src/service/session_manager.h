@@ -16,6 +16,7 @@
 #include "src/common/thread_pool.h"
 #include "src/common/thread_safety.h"
 #include "src/crowd/question_log.h"
+#include "src/query/incremental_view.h"
 #include "src/query/query.h"
 #include "src/relational/database.h"
 #include "src/relational/journal.h"
@@ -99,18 +100,31 @@ struct SessionResult {
 /// catalog and write their private databases, which keeps the repo's
 /// coordinator-only interning contract intact.
 ///
+/// View seeds: sessions whose first step cleans the same conjunctive view
+/// from the same snapshot start from byte-identical private databases, so
+/// they evaluate it once. The manager keeps, per query signature, one
+/// query::ViewSeed made at the newest snapshot a session of that signature
+/// has read. A session whose first step is a kCleanView of that signature
+/// at that snapshot starts its view from its own copy of the seed;
+/// otherwise it evaluates the view, makes the seed and publishes it unless
+/// a newer one is held. A published seed is read-only, and several
+/// workers may copy it at once. Union first steps and later steps evaluate
+/// as before. Results are the same either way (see query::IncrementalView).
+///
 /// Bounded state: a finished session's private database is retired and
 /// freed on the coordinator by the next Submit or Wait (a worker frees
 /// nothing, so no session's time pays for another's teardown), and Wait
 /// hands the result over once and drops the session. A result not yet
 /// collected holds the session's journal, not a rendered database; Wait
 /// renders the final facts from it. Memory is held for the sessions in
-/// flight plus the journals of results not yet collected, not for every
-/// session ever served.
+/// flight, the journals of results not yet collected and one view seed per
+/// distinct query signature, not for every session ever served.
 class SessionManager {
  public:
   /// `base`, `broker` and `pool` must outlive the manager. Every Submit
-  /// copies `base`, so it must not change while the manager lives. Sessions
+  /// copies `base`, so it must not change while the manager lives, its
+  /// lazily built indexes included: a copy carries them, and view seeds
+  /// rely on two copies at one snapshot being the same. Sessions
   /// run on `pool`; with an inline pool (num_threads <= 1) Submit runs the
   /// session to completion before returning.
   SessionManager(const relational::Database* base, QuestionBroker* broker,
@@ -169,6 +183,14 @@ class SessionManager {
   /// yet finished, plus finished sessions' databases not yet freed.
   size_t PrivateDatabases() const;
 
+  /// View seeds held: at most one per distinct query signature that some
+  /// session's first step has cleaned.
+  size_t ViewSeeds() const;
+
+  /// Sessions so far whose first view started from a seed instead of
+  /// evaluating.
+  size_t ViewSeedAdoptions() const;
+
   /// Observer invoked (outside the manager lock) each time a session
   /// finishes. The deterministic test driver counts finishes against parks
   /// to decide when the fake clock may advance.
@@ -215,6 +237,15 @@ class SessionManager {
   /// Runs one admitted session to completion (no lock held).
   void RunOne(SessionId id);
 
+  /// The seed a session's first view of `q` starts from, over `db` read at
+  /// `snapshot`: the one held for q's signature if it was made at that
+  /// snapshot, else a new one made over `db` and published unless a seed
+  /// from a newer snapshot is held. Runs on the worker, locking only to
+  /// look up and to publish.
+  std::shared_ptr<const query::ViewSeed> SeedFor(
+      const query::CQuery& q, relational::JournalSnapshot snapshot,
+      const relational::Database& db);
+
   /// Marks `id` finished, retires its database, advances the in-order
   /// commit frontier, wakes waiters, and either hands back the next queued
   /// session id (slot reuse) or releases the slot. Fires the finish
@@ -243,6 +274,15 @@ class SessionManager {
   SessionId next_commit_ QOCO_GUARDED_BY(mu_) = 1;
   std::map<SessionId, std::string> pending_commits_ QOCO_GUARDED_BY(mu_);
   std::function<void(SessionId)> finish_observer_ QOCO_GUARDED_BY(mu_);
+
+  /// A published seed and the snapshot its database was read at.
+  struct SeedEntry {
+    relational::JournalSnapshot snapshot;
+    std::shared_ptr<const query::ViewSeed> seed;
+  };
+  /// Keyed by query signature.
+  std::map<std::string, SeedEntry> seeds_ QOCO_GUARDED_BY(mu_);
+  size_t seed_adoptions_ QOCO_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace qoco::service

@@ -324,6 +324,146 @@ TEST(IncrementalViewFuzzTest, MatchesFullEvaluationOnDbGroup) {
   EXPECT_GE(total, 400u);
 }
 
+/// Asserts that `a` and `b` have the same built column indexes and that
+/// every built posting list holds the same positions in the same order.
+void ExpectSameIndexes(const Database& a, const Database& b) {
+  for (size_t r = 0; r < a.catalog().size(); ++r) {
+    const auto rel = static_cast<relational::RelationId>(r);
+    const relational::Relation& x = a.relation(rel);
+    const relational::Relation& y = b.relation(rel);
+    for (size_t col = 0; col < x.arity(); ++col) {
+      SCOPED_TRACE(a.catalog().relation_name(rel) + " column " +
+                   std::to_string(col));
+      ASSERT_EQ(x.IndexBuilt(col), y.IndexBuilt(col));
+      if (!x.IndexBuilt(col)) continue;
+      const relational::IdPostingMap& want = x.ColumnPostings(col);
+      const relational::IdPostingMap& got = y.ColumnPostings(col);
+      ASSERT_EQ(want.size(), got.size());
+      want.ForEach([&](relational::ValueId id,
+                       const std::vector<uint32_t>& list) {
+        const std::vector<uint32_t>* other = got.Find(id);
+        ASSERT_NE(other, nullptr);
+        EXPECT_EQ(list, *other);
+      });
+    }
+  }
+}
+
+/// The first extension of a limited search over each single-atom subquery
+/// of Q|t, for every answer t of `view`: what Algorithm 2's data-directed
+/// extension reads from posting-list order (empty witness: none found).
+std::vector<provenance::Witness> FirstExtensions(const CQuery& q,
+                                                 const EvalResult& view,
+                                                 const Database& db) {
+  Evaluator evaluator(&db);
+  std::vector<provenance::Witness> firsts;
+  for (const AnswerInfo& info : view.answers()) {
+    auto q_t = q.InstantiateAnswer(info.tuple);
+    EXPECT_TRUE(q_t.ok()) << q_t.status().ToString();
+    if (!q_t.ok()) continue;
+    for (size_t i = 0; i < q_t->atoms().size(); ++i) {
+      CQuery sub = q_t->Subquery({i});
+      std::vector<Assignment> exts = evaluator.FindExtensions(
+          sub, Assignment(sub.num_vars(), &db.dict()), /*limit=*/1);
+      firsts.push_back(exts.empty() ? provenance::Witness()
+                                    : Evaluator::WitnessFor(sub, exts[0]));
+    }
+  }
+  return firsts;
+}
+
+// A view started from a seed equals one that evaluated, down to the
+// posting lists its evaluation built, also after further erases: the seed's
+// columns are built on the adopting database before any edit. A database
+// that builds them only after the erases (as one that skipped that step
+// would) finds other first extensions, which reach crowd questions.
+TEST(ViewSeedTest, SeededViewMatchesAColdViewAfterErases) {
+  auto data = workload::MakeSoccerData(workload::SoccerParams{});
+  ASSERT_TRUE(data.ok());
+  workload::NoiseParams noise;
+  noise.seed = 41;
+  auto dirty = workload::MakeDirty(*data->ground_truth, noise);
+  ASSERT_TRUE(dirty.ok());
+  // Rows erased before any view exists, as a replayed journal erases them.
+  Database base = std::move(dirty).value();
+  common::Rng rng(5);
+  for (size_t r = 0; r < base.catalog().size(); ++r) {
+    const auto rel = static_cast<relational::RelationId>(r);
+    for (size_t k = 0; k < 20 && !base.relation(rel).empty(); ++k) {
+      const relational::Relation& instance = base.relation(rel);
+      Fact victim{rel, instance.MaterializeRow(rng.Index(instance.size()))};
+      ASSERT_TRUE(base.Erase(victim).ok());
+    }
+  }
+
+  size_t searches = 0;
+  size_t differ_without_replay = 0;
+  for (size_t qi = 1; qi <= 5; ++qi) {
+    SCOPED_TRACE("Q" + std::to_string(qi));
+    auto q = workload::SoccerQuery(qi, *data->catalog);
+    ASSERT_TRUE(q.ok());
+    Database cold_db = base;
+    Database seeded_db = base;
+    Database late_db = base;  // Builds its indexes only after the erases.
+    const ViewSeed seed = [&] {
+      Database maker = base;
+      return MakeViewSeed(*q, maker);
+    }();
+    IncrementalView cold(*q, &cold_db);
+    IncrementalView seeded(*q, &seeded_db, seed);
+    ExpectSameIndexes(cold_db, seeded_db);
+    if (::testing::Test::HasFatalFailure()) return;
+
+    // The same erases on every copy: witness facts of the view's answers,
+    // so the view shrinks and built posting lists are patched.
+    std::vector<Fact> erases;
+    for (const AnswerInfo& info : cold.result().answers()) {
+      if (rng.Chance(0.5)) continue;
+      const provenance::Witness& w =
+          info.witnesses[rng.Index(info.witnesses.size())];
+      const relational::IFact& f = w.facts()[rng.Index(w.facts().size())];
+      erases.push_back(relational::MaterializeFact(f, base.dict()));
+    }
+    for (const Fact& f : erases) {
+      for (Database* db : {&cold_db, &seeded_db, &late_db}) {
+        ASSERT_TRUE(db->Erase(f).ok());
+      }
+      cold.OnErase(f);
+      seeded.OnErase(f);
+    }
+
+    // Same answers, same witness lists in the same order.
+    ASSERT_EQ(cold.result().size(), seeded.result().size());
+    for (size_t i = 0; i < cold.result().size(); ++i) {
+      const AnswerInfo& want = cold.result().answers()[i];
+      const AnswerInfo& got = seeded.result().answers()[i];
+      ASSERT_EQ(want.tuple, got.tuple);
+      EXPECT_TRUE(want.witnesses == got.witnesses)
+          << "witnesses of " << relational::TupleToString(want.tuple);
+    }
+    ExpectSameIndexes(cold_db, seeded_db);
+    if (::testing::Test::HasFatalFailure()) return;
+
+    std::vector<provenance::Witness> want =
+        FirstExtensions(*q, cold.result(), cold_db);
+    std::vector<provenance::Witness> got =
+        FirstExtensions(*q, cold.result(), seeded_db);
+    std::vector<provenance::Witness> late =
+        FirstExtensions(*q, cold.result(), late_db);
+    ASSERT_EQ(want.size(), got.size());
+    ASSERT_EQ(want.size(), late.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_TRUE(want[i] == got[i]) << "limited search " << i;
+      if (!(want[i] == late[i])) ++differ_without_replay;
+    }
+    searches += want.size();
+  }
+  // The comparison has teeth: building the indexes late changes some of
+  // the first extensions.
+  EXPECT_GT(searches, 50u);
+  EXPECT_GT(differ_without_replay, 0u);
+}
+
 // The cleaner's maintained view repairs planted errors exactly: the final
 // answers equal Q(DG), and every planted wrong (missing) answer is counted
 // once as removed (added).

@@ -48,6 +48,8 @@
 #include "src/service/question_broker.h"
 #include "src/service/session_manager.h"
 #include "src/workload/figure_one.h"
+#include "src/workload/noise.h"
+#include "src/workload/soccer.h"
 
 namespace qoco::service {
 namespace {
@@ -995,10 +997,13 @@ TEST_F(ServiceTest, FinishedSessionsFreeTheirDatabasesAndHandOverOnce) {
     specs.push_back(i % 2 == 0 ? SpecOf({kQ1}, 200 + i)
                                : SpecOf({kQ1, kQ2}, 200 + i));
   }
-  std::vector<DirectRun> reference;
+  // View seeds are kept per signature of a first step's query.
+  std::set<std::string> first_views;
   for (const SessionSpec& spec : specs) {
-    crowd::SimulatedOracle oracle(s_->ground_truth.get());
-    reference.push_back(RunDirect(*s_->dirty, spec, &oracle));
+    auto q = query::ParseQuery(spec.steps.front().query_text,
+                               s_->dirty->catalog());
+    ASSERT_TRUE(q.ok());
+    first_views.insert(q->Signature());
   }
 
   for (size_t threads : {size_t{1}, size_t{2}}) {
@@ -1012,9 +1017,24 @@ TEST_F(ServiceTest, FinishedSessionsFreeTheirDatabasesAndHandOverOnce) {
     }
     for (size_t cycle = 0; cycle < 10; ++cycle) {
       SCOPED_TRACE("cycle=" + std::to_string(cycle));
+      // Even sessions read the pure base and commit their repairs again,
+      // so the head moves every cycle; odd ones read it.
+      const relational::JournalSnapshot head = st.manager.JournalHead();
+      relational::Database at_head = *s_->dirty;
+      ASSERT_TRUE(relational::ReplayJournal(st.manager.CommitJournalContents(),
+                                            &at_head)
+                      .ok());
+      std::vector<DirectRun> reference;
+      for (size_t i = 0; i < specs.size(); ++i) {
+        crowd::SimulatedOracle oracle(s_->ground_truth.get());
+        reference.push_back(
+            RunDirect(i % 2 == 0 ? *s_->dirty : at_head, specs[i], &oracle));
+      }
       if (threads > 1) driver.AddLive(specs.size());
       std::vector<SessionId> ids;
-      for (SessionSpec spec : specs) {
+      for (size_t i = 0; i < specs.size(); ++i) {
+        SessionSpec spec = specs[i];
+        if (i % 2 == 1) spec.base_snapshot = head;
         // A fresh dedup scope: every cycle waits on the crowd again.
         spec.scope = "cycle" + std::to_string(cycle);
         auto id = st.manager.Submit(std::move(spec));
@@ -1043,6 +1063,102 @@ TEST_F(ServiceTest, FinishedSessionsFreeTheirDatabasesAndHandOverOnce) {
       for (SessionId id : ids) {
         EXPECT_EQ(st.manager.Wait(id).status().code(),
                   common::StatusCode::kNotFound);
+      }
+      // One seed per first view, however many snapshots were read.
+      EXPECT_GE(st.manager.ViewSeeds(), 1u);
+      EXPECT_LE(st.manager.ViewSeeds(), first_views.size());
+    }
+    if (threads == 1) {
+      // Inline, sessions run in submission order, and from the second
+      // cycle on each cycle's first head reader publishes a seed for the
+      // new head that the cycle's other head readers adopt.
+      EXPECT_GE(st.manager.ViewSeedAdoptions(), 9 * (specs.size() / 2 - 1));
+    }
+  }
+}
+
+/// Sessions that clean one view from one snapshot share its evaluation:
+/// groups of them, over a noisy soccer instance, equal their solo runs at
+/// every thread count, whether they read the pure base or a head taken
+/// after commits.
+TEST_F(ServiceTest, SessionsSharingAViewSeedMatchTheirSoloRuns) {
+  workload::SoccerParams params;
+  params.num_tournaments = 8;
+  params.teams_per_tournament = 10;
+  params.group_games_per_tournament = 8;
+  params.players_per_team = 6;
+  auto data = workload::MakeSoccerData(params);
+  ASSERT_TRUE(data.ok());
+  workload::NoiseParams noise;
+  noise.seed = 1;
+  auto dirty = workload::MakeDirty(*data->ground_truth, noise);
+  ASSERT_TRUE(dirty.ok());
+  const relational::Database& base = *dirty;
+  const std::vector<std::string> views = workload::SoccerQueryTexts();
+  constexpr size_t kViews = 4;
+  constexpr size_t kGroup = 3;
+
+  // Groups of kGroup sessions per view, each with its own rng seed.
+  std::vector<SessionSpec> specs;
+  for (size_t v = 1; v <= kViews; ++v) {
+    for (size_t j = 0; j < kGroup; ++j) {
+      specs.push_back(SpecOf({views[v]}, 500 + 10 * v + j));
+    }
+  }
+
+  for (bool at_head : {false, true}) {
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+      SCOPED_TRACE(std::string(at_head ? "head" : "base") +
+                   " threads=" + std::to_string(threads));
+      ServiceStack st(&base, data->ground_truth.get(), threads);
+      relational::JournalSnapshot snapshot;
+      relational::Database from = base;
+      if (at_head) {
+        // A session over another view commits its repairs first, which
+        // leaves the groups' views something to repair.
+        auto id = st.manager.Submit(SpecOf({views[0]}, 900));
+        ASSERT_TRUE(id.ok()) << id.status().ToString();
+        auto result = st.manager.Wait(*id);
+        ASSERT_TRUE(result.ok());
+        ASSERT_TRUE(result->status.ok()) << result->status.ToString();
+        snapshot = st.manager.JournalHead();
+        ASSERT_GT(snapshot.bytes, 0u);
+        ASSERT_TRUE(relational::ReplayJournal(
+                        st.manager.CommitJournalContents(), &from)
+                        .ok());
+      }
+      const size_t adopted_before = st.manager.ViewSeedAdoptions();
+
+      std::vector<SessionId> ids;
+      for (SessionSpec spec : specs) {
+        spec.base_snapshot = snapshot;
+        auto id = st.manager.Submit(std::move(spec));
+        ASSERT_TRUE(id.ok()) << id.status().ToString();
+        ids.push_back(*id);
+      }
+      st.manager.WaitIdle();
+      size_t edited = 0;
+      for (size_t i = 0; i < ids.size(); ++i) {
+        crowd::SimulatedOracle oracle(data->ground_truth.get());
+        DirectRun reference = RunDirect(from, specs[i], &oracle);
+        auto result = st.manager.Wait(ids[i]);
+        ASSERT_TRUE(result.ok());
+        ASSERT_TRUE(result->status.ok()) << result->status.ToString();
+        EXPECT_EQ(result->journal, reference.journal) << "session " << i;
+        EXPECT_EQ(result->final_facts_csv, reference.facts) << "session " << i;
+        EXPECT_EQ(crowd::ToString(result->questions), reference.questions)
+            << "session " << i;
+        if (!result->journal.empty()) ++edited;
+      }
+      // The sessions repair something, so erases follow the shared start.
+      EXPECT_GT(edited, 0u);
+      EXPECT_EQ(st.manager.ViewSeeds(), at_head ? kViews + 1 : kViews);
+      const size_t adopted = st.manager.ViewSeedAdoptions() - adopted_before;
+      EXPECT_LE(adopted, specs.size() - kViews);
+      if (threads == 1) {
+        // Inline, the first session of each view makes the seed and the
+        // rest of its group adopts it.
+        EXPECT_EQ(adopted, specs.size() - kViews);
       }
     }
   }
