@@ -228,11 +228,11 @@ void BM_IncrementalEditLoop(benchmark::State& state) {
     for (const relational::Fact& f : script) {
       (void)db.Erase(f);
       view.OnErase(f);
-      answers = view.result().size();
+      answers = view.size();
       benchmark::DoNotOptimize(answers);
       (void)db.Insert(f);
       view.OnInsert(f);
-      answers = view.result().size();
+      answers = view.size();
       benchmark::DoNotOptimize(answers);
     }
   }

@@ -23,7 +23,7 @@ relational::Tuple Concat(const relational::Tuple& a,
 std::vector<relational::Tuple> AggregateCleaner::UnitsOf(
     const relational::Tuple& group) const {
   for (const query::AggregateGroup& g :
-       query::GroupAnswers(q_, base_view_->result())) {
+       query::GroupAnswers(q_, base_view_->AnswerTuples())) {
     if (g.key == group) return g.units;
   }
   return {};
@@ -122,7 +122,7 @@ common::Result<CleanerStats> AggregateCleaner::Run() {
 
     // Phase A: examine the groups on the wrong side of the threshold.
     for (const query::AggregateGroup& group :
-         query::GroupAnswers(q_, base_view_->result())) {
+         query::GroupAnswers(q_, base_view_->AnswerTuples())) {
       if (verified_groups.contains(group.key)) continue;
       if (q_.cmp() == query::AggregateQuery::Cmp::kAtLeast) {
         if (q_.Satisfies(group.count())) {
@@ -174,7 +174,7 @@ common::Result<CleanerStats> AggregateCleaner::Run() {
     std::set<relational::Tuple> attempted;
     while (!estimator.IsLikelyComplete()) {
       std::optional<relational::Tuple> missing_base = panel_->MissingAnswer(
-          q_.base(), base_view_->result().AnswerTuples());
+          q_.base(), base_view_->AnswerTuples());
       if (missing_base.has_value() &&
           !attempted.insert(*missing_base).second) {
         // An earlier insertion attempt for this base answer failed

@@ -28,8 +28,8 @@ std::span<const query::CQuery> Disjuncts(const query::UnionQuery& q) {
   return q.disjuncts();
 }
 
-/// Starts the view of `q`: from a copy of `seed` when there is one,
-/// otherwise by evaluating. Union views always evaluate.
+/// Starts the view of `q`: from `seed` when there is one, otherwise by
+/// evaluating. Union views always evaluate.
 query::IncrementalView StartView(const query::CQuery& q,
                                  const relational::Database* db,
                                  const query::ViewSeed* seed) {
@@ -44,7 +44,7 @@ query::IncrementalUnionView StartView(const query::UnionQuery& q,
 
 /// The view's current answers, sorted.
 std::vector<relational::Tuple> Answers(const query::IncrementalView& view) {
-  return view.result().AnswerTuples();
+  return view.AnswerTuples();
 }
 std::vector<relational::Tuple> Answers(
     const query::IncrementalUnionView& view) {

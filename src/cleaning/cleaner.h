@@ -97,8 +97,8 @@ class QocoCleaner {
  public:
   /// `db` is cleaned in place; `panel` supplies the crowd; all must
   /// outlive the cleaner. With a `seed` (query::MakeViewSeed of `q` over a
-  /// copy of `db`, see query::IncrementalView), the view starts from a copy
-  /// of it instead of evaluating `q`; the session is the same either way.
+  /// copy of `db`, see query::IncrementalView), the view starts from it
+  /// instead of evaluating `q`; the session is the same either way.
   QocoCleaner(const query::CQuery& q, relational::Database* db,
               crowd::CrowdPanel* panel, CleanerConfig config,
               common::Rng rng, const query::ViewSeed* seed = nullptr)

@@ -13,7 +13,6 @@
 #include "src/cleaning/cleaner.h"
 #include "src/cleaning/constraint_enforcer.h"
 #include "src/cleaning/edit.h"
-#include "src/cleaning/reductions.h"
 #include "src/cleaning/remove_wrong_answer.h"
 #include "src/cleaning/split_strategy.h"
 #include "src/cleaning/trust.h"

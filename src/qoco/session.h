@@ -49,8 +49,8 @@ class Session {
 
   /// Repairs an already-parsed view. With a `seed` (query::MakeViewSeed
   /// of `q` over a copy of this session's database as it is now), the view
-  /// starts from a copy of the seed instead of evaluating `q`; the
-  /// transcript is the same either way.
+  /// starts from the seed instead of evaluating `q`; the transcript is the
+  /// same either way.
   common::Result<cleaning::CleanerStats> CleanView(
       const query::CQuery& q, const query::ViewSeed* seed = nullptr);
 

@@ -86,25 +86,25 @@ std::string AggregateQuery::ToString(
   return out;
 }
 
-std::vector<AggregateGroup> GroupAnswers(const AggregateQuery& q,
-                                         const EvalResult& base) {
+std::vector<AggregateGroup> GroupAnswers(
+    const AggregateQuery& q, const std::vector<relational::Tuple>& base) {
   // Base answers are sorted and distinct, and each is its group key
   // followed by its unit, so a group's units arrive together, distinct and
   // in order.
   std::vector<AggregateGroup> groups;
-  for (const AnswerInfo& info : base.answers()) {
-    relational::Tuple key = q.GroupOf(info.tuple);
+  for (const relational::Tuple& answer : base) {
+    relational::Tuple key = q.GroupOf(answer);
     if (groups.empty() || groups.back().key != key) {
       groups.push_back(AggregateGroup{std::move(key), {}});
     }
-    groups.back().units.push_back(q.UnitOf(info.tuple));
+    groups.back().units.push_back(q.UnitOf(answer));
   }
   return groups;
 }
 
 std::vector<AggregateGroup> AggregateEvaluator::EvaluateAllGroups(
     const AggregateQuery& q) const {
-  return GroupAnswers(q, Evaluator(db_).Evaluate(q.base()));
+  return GroupAnswers(q, Evaluator(db_).Evaluate(q.base()).AnswerTuples());
 }
 
 std::vector<AggregateGroup> AggregateEvaluator::Evaluate(

@@ -79,10 +79,10 @@ struct AggregateGroup {
 };
 
 /// Every group of `q` regardless of the HAVING filter, sorted by key, from
-/// `base`, an evaluation of q.base() (Evaluator::Evaluate or a maintained
-/// IncrementalView's result).
-std::vector<AggregateGroup> GroupAnswers(const AggregateQuery& q,
-                                         const EvalResult& base);
+/// `base`, the sorted answers of q.base() (an evaluation's AnswerTuples or
+/// a maintained IncrementalView's).
+std::vector<AggregateGroup> GroupAnswers(
+    const AggregateQuery& q, const std::vector<relational::Tuple>& base);
 
 /// Evaluates an aggregate query. Only groups satisfying the HAVING
 /// comparison are answers; EvaluateAllGroups also exposes the rest.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 
 #include "src/common/strings.h"
 #include "src/relational/value_id.h"
@@ -131,13 +132,15 @@ class Search {
 
   /// Number of argument positions of atom `idx` that resolve now, plus an
   /// estimated candidate count for expanding it. `posting` memoizes the
-  /// posting list of the most selective bound column so Recurse does not
-  /// re-probe the index the scoring pass already walked (the list stays
-  /// valid: indexes only move under mutation, never mid-evaluation).
+  /// posting list of the most selective bound column (when `use_posting`)
+  /// so Recurse does not re-probe the index the scoring pass already
+  /// walked (the span stays valid: indexes only move under mutation, never
+  /// mid-evaluation).
   struct AtomScore {
     size_t bound_positions = 0;
     size_t candidates = std::numeric_limits<size_t>::max();
-    const std::vector<uint32_t>* posting = nullptr;
+    bool use_posting = false;
+    std::span<const uint32_t> posting;
   };
 
   AtomScore ScoreAtom(size_t idx) const {
@@ -149,10 +152,11 @@ class Search {
       ValueId id = ResolveCompiled(terms[col]);
       if (id == kInvalidId) continue;  // Unbound variable.
       ++score.bound_positions;
-      const std::vector<uint32_t>& rows = rel.RowsWithId(col, id);
+      std::span<const uint32_t> rows = rel.RowsWithId(col, id);
       if (rows.size() < score.candidates) {
         score.candidates = rows.size();
-        score.posting = &rows;
+        score.use_posting = true;
+        score.posting = rows;
       }
     }
     return score;
@@ -203,12 +207,12 @@ class Search {
     const Relation& rel = *atom_rel_[best];
     atom_done_[best] = true;
 
-    if (best_score.posting != nullptr) {
+    if (best_score.use_posting) {
       // Index probe on the most selective bound column, reusing the posting
       // list ScoreAtom already fetched. The list stays valid across
       // recursion: indexes are persistent and only mutations (which never
       // happen mid-evaluation) patch them.
-      for (uint32_t pos : *best_score.posting) {
+      for (uint32_t pos : best_score.posting) {
         TryRow(best, rel.rows()[pos], remaining);
         if (Done()) break;
       }
@@ -315,22 +319,6 @@ AnswerInfo* EvalResult::FindOrInsert(const relational::Tuple& t) {
   return &*it;
 }
 
-bool EvalResult::Remove(const relational::Tuple& t) {
-  auto it = LowerBound(t);
-  if (it == answers_.end() || it->tuple != t) return false;
-  answers_.erase(it);
-  return true;
-}
-
-bool EvalResult::AddWitnessIfNew(AnswerInfo* info, provenance::Witness w) {
-  if (std::find(info->witnesses.begin(), info->witnesses.end(), w) !=
-      info->witnesses.end()) {
-    return false;
-  }
-  info->witnesses.push_back(std::move(w));
-  return true;
-}
-
 std::vector<relational::Tuple> EvalResult::AnswerTuples() const {
   std::vector<relational::Tuple> tuples;
   tuples.reserve(answers_.size());
@@ -409,8 +397,13 @@ EvalResult Evaluator::Evaluate(const UnionQuery& q) const {
       if (it == merged.answers_.end() || it->tuple != info.tuple) {
         merged.answers_.insert(it, std::move(info));
       } else {
+        // A linear scan per witness: the merge appends one disjunct's
+        // witnesses of an answer another disjunct also produced.
+        provenance::WitnessSet& into = it->witnesses;
         for (provenance::Witness& w : info.witnesses) {
-          EvalResult::AddWitnessIfNew(&*it, std::move(w));
+          if (std::find(into.begin(), into.end(), w) == into.end()) {
+            into.push_back(std::move(w));
+          }
         }
       }
     }

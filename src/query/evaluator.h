@@ -15,7 +15,8 @@ namespace qoco::query {
 
 /// One answer tuple together with its valid assignments A(t, Q, D) and its
 /// (deduplicated) witnesses wit(A(t, Q, D)). Evaluator::Evaluate fills
-/// both; an IncrementalView keeps the witnesses only.
+/// both; an IncrementalView keeps the witnesses only, as a shared set
+/// (query::ViewAnswer).
 struct AnswerInfo {
   relational::Tuple tuple;
   std::vector<Assignment> assignments;
@@ -35,17 +36,8 @@ class EvalResult {
   const AnswerInfo* Find(const relational::Tuple& t) const;
 
   /// The AnswerInfo for `t`, inserting an empty one at its sorted slot if
-  /// absent. The pointer is valid until the next insertion/removal.
+  /// absent. The pointer is valid until the next insertion.
   AnswerInfo* FindOrInsert(const relational::Tuple& t);
-
-  /// Removes the answer for `t`; returns whether it was present.
-  bool Remove(const relational::Tuple& t);
-
-  /// Appends `w` to `info`'s witness set unless already present; returns
-  /// whether it was added. A linear scan: it serves one-off appends (the
-  /// incremental view's insert delta, the union merge), while Evaluate
-  /// builds whole witness sets through a hash index.
-  static bool AddWitnessIfNew(AnswerInfo* info, provenance::Witness w);
 
   /// Just the answer tuples, in a deterministic (sorted) order.
   std::vector<relational::Tuple> AnswerTuples() const;
@@ -57,7 +49,7 @@ class EvalResult {
   friend class Evaluator;
 
   /// The shared sorted-by-tuple lower-bound used by every answer-merge
-  /// path (both Evaluate overloads, Find, and IncrementalView).
+  /// path (both Evaluate overloads and Find).
   std::vector<AnswerInfo>::iterator LowerBound(const relational::Tuple& t);
   std::vector<AnswerInfo>::const_iterator LowerBound(
       const relational::Tuple& t) const;

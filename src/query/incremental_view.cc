@@ -1,7 +1,10 @@
 #include "src/query/incremental_view.h"
 
 #include <algorithm>
+#include <iterator>
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "src/common/invariant.h"
 
@@ -35,16 +38,37 @@ bool PinAtomToTuple(const Atom& atom, const relational::ITuple& tuple,
   return true;
 }
 
+/// Q(D) with each answer's witness set; the assignments are released.
+/// A fresh evaluator, so a view's own ColumnStats start empty on every
+/// construction path.
+std::vector<ViewAnswer> EvaluateAnswers(const CQuery& q,
+                                        const relational::Database& db) {
+  EvalResult result = Evaluator(&db).Evaluate(q);
+  std::vector<ViewAnswer> answers;
+  answers.reserve(result.size());
+  for (AnswerInfo& info : result.mutable_answers()) {
+    answers.push_back(
+        {std::move(info.tuple), std::make_shared<const provenance::WitnessSet>(
+                                    std::move(info.witnesses))});
+  }
+  return answers;
+}
+
+/// The first answer whose tuple is not below `t`.
+template <typename Answers>
+auto LowerBound(Answers& answers, const relational::Tuple& t) {
+  return std::lower_bound(
+      answers.begin(), answers.end(), t,
+      [](const ViewAnswer& a, const relational::Tuple& key) {
+        return a.tuple < key;
+      });
+}
+
 }  // namespace
 
 ViewSeed MakeViewSeed(const CQuery& q, const relational::Database& db) {
   ViewSeed seed;
-  seed.result = Evaluator(&db).Evaluate(q);
-  // A seed keeps answers and witness sets only. Assigning a fresh vector
-  // (unlike clear()) also frees the lists' memory.
-  for (AnswerInfo& info : seed.result.mutable_answers()) {
-    info.assignments = std::vector<Assignment>();
-  }
+  seed.answers = EvaluateAnswers(q, db);
   std::vector<relational::RelationId> relations;
   for (const Atom& atom : q.atoms()) relations.push_back(atom.relation);
   std::sort(relations.begin(), relations.end());
@@ -53,31 +77,40 @@ ViewSeed MakeViewSeed(const CQuery& q, const relational::Database& db) {
   for (relational::RelationId rel : relations) {
     const relational::Relation& instance = db.relation(rel);
     for (size_t col = 0; col < instance.arity(); ++col) {
-      if (instance.IndexBuilt(col)) seed.columns.emplace_back(rel, col);
+      if (instance.IndexBuilt(col)) {
+        seed.columns.push_back({rel, col, instance.ColumnPostings(col)});
+      }
     }
   }
   return seed;
 }
 
 IncrementalView::IncrementalView(CQuery q, const relational::Database* db)
-    : IncrementalView(q, db, MakeViewSeed(q, *db)) {}
-
-IncrementalView::IncrementalView(CQuery q, const relational::Database* db,
-                                 ViewSeed seed)
     : q_(std::move(q)),
       db_(db),
       evaluator_(db),
-      result_(std::move(seed.result)) {
-  for (const auto& [rel, col] : seed.columns) {
-    db_->relation(rel).ColumnPostings(col);  // Builds the index if cold.
+      answers_(EvaluateAnswers(q_, *db)) {}
+
+IncrementalView::IncrementalView(CQuery q, const relational::Database* db,
+                                 const ViewSeed& seed)
+    : q_(std::move(q)), db_(db), evaluator_(db), answers_(seed.answers) {
+  for (const ViewSeed::Column& c : seed.columns) {
+    db_->relation(c.relation).InstallPostings(c.column, c.postings);
   }
+}
+
+std::vector<relational::Tuple> IncrementalView::AnswerTuples() const {
+  std::vector<relational::Tuple> tuples;
+  tuples.reserve(answers_.size());
+  for (const ViewAnswer& answer : answers_) tuples.push_back(answer.tuple);
+  return tuples;
 }
 
 const provenance::WitnessSet& IncrementalView::Witnesses(
     const relational::Tuple& t) const {
   static const provenance::WitnessSet kNone;
-  const AnswerInfo* info = result_.Find(t);
-  return info != nullptr ? info->witnesses : kNone;
+  auto it = LowerBound(answers_, t);
+  return it != answers_.end() && it->tuple == t ? *it->witnesses : kNone;
 }
 
 bool IncrementalView::Relevant(relational::RelationId rel) const {
@@ -100,7 +133,9 @@ void IncrementalView::OnInsert(const relational::Fact& f) {
   if (!fi.has_value()) return;
   // Delta rule, insert side: any assignment made newly valid by f must map
   // at least one atom to f. Pin each candidate atom in turn and search for
-  // extensions over the current (post-insert) database.
+  // extensions over the current (post-insert) database. New witnesses go
+  // to an edited copy of their answer's set (few answers gain any).
+  std::vector<std::pair<relational::Tuple, provenance::WitnessSet>> edited;
   for (const Atom& atom : q_.atoms()) {
     if (atom.relation != f.relation) continue;
     Assignment pinned(q_.num_vars(), &db_->dict());
@@ -109,11 +144,29 @@ void IncrementalView::OnInsert(const relational::Fact& f) {
          evaluator_.FindExtensions(q_, pinned, /*limit=*/0)) {
       std::optional<relational::Tuple> answer = a.ApplyHead(q_.head());
       if (!answer.has_value()) continue;
+      provenance::Witness w = Evaluator::WitnessFor(q_, a);
+      auto it = std::find_if(edited.begin(), edited.end(),
+                             [&](const auto& e) { return e.first == *answer; });
       // Merge-dedup on the witness: the same assignment surfaces once per
       // atom it pins f at, and again if the caller replays an already-seen
       // notification; either way its witness is already listed.
-      EvalResult::AddWitnessIfNew(result_.FindOrInsert(*answer),
-                                  Evaluator::WitnessFor(q_, a));
+      const provenance::WitnessSet& listed =
+          it != edited.end() ? it->second : Witnesses(*answer);
+      if (std::find(listed.begin(), listed.end(), w) != listed.end()) continue;
+      if (it == edited.end()) {
+        it = edited.emplace(edited.end(), std::move(*answer), listed);
+      }
+      it->second.push_back(std::move(w));
+    }
+  }
+  for (auto& [tuple, witnesses] : edited) {
+    auto shared =
+        std::make_shared<const provenance::WitnessSet>(std::move(witnesses));
+    auto it = LowerBound(answers_, tuple);
+    if (it != answers_.end() && it->tuple == tuple) {
+      it->witnesses = std::move(shared);
+    } else {
+      answers_.insert(it, ViewAnswer{std::move(tuple), std::move(shared)});
     }
   }
 }
@@ -132,37 +185,40 @@ void IncrementalView::OnErase(const relational::Fact& f) {
   if (!fi.has_value()) return;
   // Delta rule, delete side: an assignment uses f iff its witness holds f,
   // so dropping the witnesses that hold f keeps exactly the surviving
-  // assignments' witnesses. An answer left with no witness has lost its
-  // last assignment and is erased.
-  std::vector<AnswerInfo>& answers = result_.mutable_answers();
-  for (AnswerInfo& info : answers) {
-    std::erase_if(info.witnesses, [&](const provenance::Witness& w) {
-      return w.Contains(*fi);
-    });
+  // assignments' witnesses. An answer whose set changes gets an edited
+  // copy; one left with no witness has lost its last assignment and is
+  // erased.
+  auto holds = [&](const provenance::Witness& w) { return w.Contains(*fi); };
+  for (ViewAnswer& answer : answers_) {
+    const provenance::WitnessSet& current = *answer.witnesses;
+    if (std::none_of(current.begin(), current.end(), holds)) continue;
+    provenance::WitnessSet kept;
+    std::remove_copy_if(current.begin(), current.end(),
+                        std::back_inserter(kept), holds);
+    answer.witnesses =
+        kept.empty() ? nullptr
+                     : std::make_shared<const provenance::WitnessSet>(
+                           std::move(kept));
   }
-  std::erase_if(answers,
-                [](const AnswerInfo& info) { return info.witnesses.empty(); });
+  std::erase_if(answers_,
+                [](const ViewAnswer& a) { return a.witnesses == nullptr; });
 }
 
 common::Status IncrementalView::AuditInvariants() const {
   common::InvariantAuditor audit("query::IncrementalView");
-  const std::vector<AnswerInfo>& answers = result_.answers();
 
-  // Structural invariants of the cached result.
-  for (size_t i = 0; i < answers.size(); ++i) {
-    const AnswerInfo& info = answers[i];
-    const std::string tuple = relational::TupleToString(info.tuple);
-    if (i + 1 < answers.size() && !(info.tuple < answers[i + 1].tuple)) {
+  // Structural invariants of the maintained answers.
+  for (size_t i = 0; i < answers_.size(); ++i) {
+    const ViewAnswer& answer = answers_[i];
+    const std::string tuple = relational::TupleToString(answer.tuple);
+    if (i + 1 < answers_.size() && !(answer.tuple < answers_[i + 1].tuple)) {
       audit.Violation() << "answers not strictly sorted at " << tuple;
     }
-    if (!info.assignments.empty()) {
-      audit.Violation() << "answer " << tuple << " caches "
-                        << info.assignments.size() << " assignments";
-    }
-    if (info.witnesses.empty()) {
+    if (answer.witnesses == nullptr || answer.witnesses->empty()) {
       audit.Violation() << "answer " << tuple << " has no witnesses";
+      continue;
     }
-    for (const provenance::Witness& w : info.witnesses) {
+    for (const provenance::Witness& w : *answer.witnesses) {
       for (const relational::IFact& f : w.facts()) {
         if (!db_->ContainsIds(f)) {
           audit.Violation() << "answer " << tuple
@@ -175,22 +231,24 @@ common::Status IncrementalView::AuditInvariants() const {
     }
   }
 
-  // Semantic invariant: the delta-maintained result must equal a
+  // Semantic invariant: the delta-maintained answers must equal a
   // from-scratch evaluation over the current database.
   EvalResult fresh = evaluator_.Evaluate(q_);
-  if (fresh.size() != answers.size()) {
-    audit.Violation() << "cached result has " << answers.size()
+  if (fresh.size() != answers_.size()) {
+    audit.Violation() << "view has " << answers_.size()
                       << " answers, from-scratch evaluation has "
                       << fresh.size();
   }
   for (const AnswerInfo& want : fresh.answers()) {
     const std::string tuple = relational::TupleToString(want.tuple);
-    const AnswerInfo* got = result_.Find(want.tuple);
-    if (got == nullptr) {
+    auto got = LowerBound(answers_, want.tuple);
+    if (got == answers_.end() || got->tuple != want.tuple) {
       audit.Violation() << "answer " << tuple << " is missing from the view";
       continue;
     }
-    provenance::WitnessSet got_w = got->witnesses;
+    provenance::WitnessSet got_w = got->witnesses != nullptr
+                                       ? *got->witnesses
+                                       : provenance::WitnessSet();
     provenance::WitnessSet want_w = want.witnesses;
     provenance::WitnessLess less{&db_->dict()};
     std::sort(got_w.begin(), got_w.end(), less);
@@ -200,9 +258,9 @@ common::Status IncrementalView::AuditInvariants() const {
                         << " differs from from-scratch evaluation";
     }
   }
-  for (const AnswerInfo& info : answers) {
-    if (fresh.Find(info.tuple) == nullptr) {
-      audit.Violation() << "answer " << relational::TupleToString(info.tuple)
+  for (const ViewAnswer& answer : answers_) {
+    if (fresh.Find(answer.tuple) == nullptr) {
+      audit.Violation() << "answer " << relational::TupleToString(answer.tuple)
                         << " is cached but not produced by from-scratch "
                         << "evaluation";
     }
@@ -221,7 +279,7 @@ IncrementalUnionView::IncrementalUnionView(const UnionQuery& q,
 std::vector<relational::Tuple> IncrementalUnionView::AnswerTuples() const {
   std::vector<relational::Tuple> merged;
   for (const IncrementalView& view : views_) {
-    std::vector<relational::Tuple> part = view.result().AnswerTuples();
+    std::vector<relational::Tuple> part = view.AnswerTuples();
     std::vector<relational::Tuple> out;
     out.reserve(merged.size() + part.size());
     std::set_union(merged.begin(), merged.end(), part.begin(), part.end(),

@@ -1,32 +1,49 @@
 #ifndef QOCO_QUERY_INCREMENTAL_VIEW_H_
 #define QOCO_QUERY_INCREMENTAL_VIEW_H_
 
-#include <utility>
+#include <memory>
 #include <vector>
 
 #include "src/provenance/witness.h"
 #include "src/query/evaluator.h"
 #include "src/query/query.h"
 #include "src/relational/database.h"
+#include "src/relational/id_posting_map.h"
 
 namespace qoco::query {
 
-/// What an IncrementalView over Q and D starts from: Q(D) with each
-/// answer's witness set and no assignments, plus every column index of Q's
-/// relations that is built once Q has been evaluated over D.
+/// One answer of a view: its tuple and its witness set. The set is
+/// immutable, so a view seed and the views started from it share it; an
+/// edit that changes it replaces the pointer with an edited copy.
+struct ViewAnswer {
+  relational::Tuple tuple;
+  std::shared_ptr<const provenance::WitnessSet> witnesses;
+};
+
+/// What an IncrementalView over Q and D starts from: Q(D), each answer with
+/// its witness set, plus every column index of Q's relations that is built
+/// once Q has been evaluated over D, with its posting lists.
 ///
 /// A seed lets several views over identical databases pay for one
-/// evaluation (the session service shares one per query and snapshot). The
-/// indexes are part of it because a posting list's order follows its
+/// evaluation (the session service shares one per query and snapshot).
+/// The indexes are part of it because a posting list's order follows its
 /// history: a list built before a swap-remove erase is patched in place,
 /// one built after it lists the surviving rows in row order. Limited
 /// searches enumerate in posting-list order, and the first extension they
-/// find reaches crowd questions. So a view started from a seed builds the
-/// seed's columns before any edit, as the evaluation would have.
+/// find reaches crowd questions. So a view started from a seed installs
+/// the seed's postings on its database before any edit, where the
+/// evaluation would have built them; the copy costs two flat vectors per
+/// column, not a build.
 struct ViewSeed {
-  EvalResult result;
-  /// (relation, column) pairs, by relation then column.
-  std::vector<std::pair<relational::RelationId, size_t>> columns;
+  /// Sorted by tuple.
+  std::vector<ViewAnswer> answers;
+  struct Column {
+    relational::RelationId relation;
+    size_t column;
+    relational::IdPostingMap postings;
+  };
+  /// By relation then column.
+  std::vector<Column> columns;
 };
 
 /// Evaluates Q over `db` once and records the seed.
@@ -58,7 +75,10 @@ ViewSeed MakeViewSeed(const CQuery& q, const relational::Database& db);
 /// query language of the paper): inserts never remove answers and deletes
 /// never add them, so the two deltas compose to the from-scratch result.
 /// An answer's witnesses are a set: their list order follows the edit
-/// history and carries no meaning (Algorithm 1 reads the set).
+/// history and carries no meaning (Algorithm 1 reads the set). Witness sets
+/// are never written once made: a delta that changes an answer's set
+/// replaces it with an edited copy, so views started from one seed share
+/// every set none of them has edited.
 ///
 /// Notify AFTER the database mutation: OnInsert(f) once f is in D,
 /// OnErase(f) once it is gone. Notifications are idempotent and, for a
@@ -66,23 +86,25 @@ ViewSeed MakeViewSeed(const CQuery& q, const relational::Database& db);
 /// that applied several edits may replay them in any order.
 class IncrementalView {
  public:
-  /// Evaluates Q(D) once (MakeViewSeed) and starts from that seed. `db`
-  /// must outlive the view; the query is copied.
+  /// Evaluates Q(D) once. `db` must outlive the view; the query is copied.
   IncrementalView(CQuery q, const relational::Database* db);
 
-  /// Starts from `seed` without evaluating: builds the seed's columns on
-  /// `db`, then takes its answers. `seed` must be MakeViewSeed(q, d) for a
-  /// database d that had db's rows and built indexes before it was
-  /// evaluated (a copy of db, or db copied from it); then the view and
-  /// every posting list of db equal what the constructor above makes.
-  IncrementalView(CQuery q, const relational::Database* db, ViewSeed seed);
+  /// Starts from `seed` without evaluating: installs the seed's postings
+  /// into the cold columns of `db` (Relation::InstallPostings), then shares
+  /// its answers. `seed` must be MakeViewSeed(q, d) for a database d that
+  /// had db's rows and built indexes before it was evaluated (a copy of
+  /// db, or db copied from it); then the view and every posting list of db
+  /// equal what the constructor above makes.
+  IncrementalView(CQuery q, const relational::Database* db,
+                  const ViewSeed& seed);
 
   const CQuery& query() const { return q_; }
 
-  /// The maintained Q(D) with provenance (answers sorted by tuple, same
-  /// invariant as Evaluator::Evaluate). Every AnswerInfo::assignments is
-  /// empty.
-  const EvalResult& result() const { return result_; }
+  /// The maintained answers of Q(D), sorted.
+  std::vector<relational::Tuple> AnswerTuples() const;
+
+  /// Number of answers.
+  size_t size() const { return answers_.size(); }
 
   /// The witnesses of the answer `t` (empty if t is not an answer), valid
   /// until the next OnInsert or OnErase.
@@ -102,12 +124,12 @@ class IncrementalView {
   };
   const Stats& stats() const { return stats_; }
 
-  /// Deep audit of the maintained result: answers strictly sorted, no
-  /// answer caches assignments or has no witness, every cached witness is
-  /// over live facts, and the answer set and each answer's witness set
-  /// equal a from-scratch evaluation of the query. Costs one full
-  /// evaluation — debug/fuzz tooling, not the hot path. Does not touch
-  /// stats(). Returns OK or kInternal listing every violation.
+  /// Deep audit of the maintained answers: strictly sorted, none without a
+  /// witness, every witness over live facts, and the answer set and each
+  /// answer's witness set equal a from-scratch evaluation of the query.
+  /// Costs one full evaluation — debug/fuzz tooling, not the hot path.
+  /// Does not touch stats(). Returns OK or kInternal listing every
+  /// violation.
   common::Status AuditInvariants() const;
 
  private:
@@ -120,7 +142,7 @@ class IncrementalView {
   CQuery q_;
   const relational::Database* db_;
   Evaluator evaluator_;
-  EvalResult result_;
+  std::vector<ViewAnswer> answers_;  // sorted by tuple
   Stats stats_;
 };
 

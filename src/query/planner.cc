@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 #include <sstream>
 
 #include "src/relational/id_posting_map.h"
@@ -40,7 +41,7 @@ struct RootScore {
   bool fully_resolved = true;
   bool use_posting = false;
   size_t probe_column = 0;
-  const std::vector<uint32_t>* posting = nullptr;  // Borrowed from the index.
+  std::span<const uint32_t> posting;  // Borrowed from the index.
   bool dead = false;  // Some resolved column has an empty posting list.
 };
 
@@ -94,10 +95,10 @@ Plan Planner::MakePlan(const CQuery& q, const Assignment& binding,
         continue;
       }
       ++s.bound;
-      const std::vector<uint32_t>& rows = rel.RowsWithId(col, id);
+      std::span<const uint32_t> rows = rel.RowsWithId(col, id);
       if (rows.size() < s.candidates) {
         s.candidates = rows.size();
-        s.posting = &rows;
+        s.posting = rows;
         s.probe_column = col;
         s.use_posting = true;
       }

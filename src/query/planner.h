@@ -2,6 +2,7 @@
 #define QOCO_QUERY_PLANNER_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,17 +46,18 @@ struct Plan {
   /// Root candidate rows, in the exact order the scan visits them. Three
   /// representations, cheapest first: the implicit range [0, root_num_rows)
   /// (no resolved column), a posting list borrowed from the root's index
-  /// (`root_posting`; stays valid until the next mutation of the relation,
-  /// and plans never outlive the evaluation that made them), or an owned
-  /// filtered list (`root_materialized`; only when the semi-join reduction
-  /// actually dropped candidates — the common unfiltered case never copies).
-  const std::vector<uint32_t>* root_posting = nullptr;
+  /// (`root_posting` when `root_use_posting`; stays valid until the next
+  /// mutation of the relation, and plans never outlive the evaluation that
+  /// made them), or an owned filtered list (`root_materialized`; only when
+  /// the semi-join reduction actually dropped candidates — the common
+  /// unfiltered case never copies).
+  bool root_use_posting = false;
+  std::span<const uint32_t> root_posting;
   bool root_materialized = false;
   std::vector<uint32_t> root_candidates;
   size_t root_num_rows = 0;
-  /// Probe column behind `root_candidates` (display only; meaningful when
-  /// the root had a resolved column).
-  bool root_use_posting = false;
+  /// Probe column behind `root_posting` (meaningful when
+  /// `root_use_posting`).
   size_t root_probe_column = 0;
 
   /// Semi-join reduction bookkeeping: whether the pass ran, and the root
@@ -75,12 +77,12 @@ struct Plan {
 
   size_t RootCandidateCount() const {
     if (root_materialized) return root_candidates.size();
-    if (root_posting != nullptr) return root_posting->size();
+    if (root_use_posting) return root_posting.size();
     return root_num_rows;
   }
   uint32_t RootCandidateAt(size_t i) const {
     if (root_materialized) return root_candidates[i];
-    if (root_posting != nullptr) return (*root_posting)[i];
+    if (root_use_posting) return root_posting[i];
     return static_cast<uint32_t>(i);
   }
 

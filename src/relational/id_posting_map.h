@@ -4,97 +4,77 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "src/relational/value_id.h"
 
 namespace qoco::relational {
 
-/// Open-addressed flat map from ValueId to a posting list of row
-/// positions: the per-column index representation behind
-/// Relation::RowsWithId. Replaces unordered_map<Value, vector<uint32_t>,
-/// ValueHash> — a probe is one id hash and a short linear scan over a
-/// contiguous slot array instead of a string hash plus node chasing.
+/// Flat map from ValueId to a posting list of row positions: the
+/// per-column index representation behind Relation::RowsWithId.
 ///
-/// Linear probing with backward-shift deletion (no tombstones), power-of-2
-/// capacity, max load factor 0.7. kInvalidId marks empty slots; it is
-/// unreachable by any encoder, so every real id is storable.
+/// Every list lives in one arena of row positions, and an open-addressed
+/// table maps each key to its range (begin, size, capacity) there: linear
+/// probing with backward-shift deletion (no tombstones), power-of-2
+/// capacity, max load factor 0.7, kInvalidId marking empty slots (it is
+/// unreachable by any encoder, so every real id is storable). The map is
+/// two flat vectors, so copying or freeing one allocates or frees two
+/// blocks, whatever the number of keys.
 ///
-/// Iterator/pointer validity matches the contract Relation documents:
-/// a posting-list reference returned by Find stays valid until the next
-/// Insert into or Erase from *this map* (growth or backward-shift moves
-/// the vectors; the heap buffers they own move with them, but callers
-/// hold the vector address, not the buffer).
+/// List order is the edit history's, exactly as with one vector per key:
+///  * Build lists each key's positions in row order (a counting pass, no
+///    allocation per key);
+///  * Append adds at the list's end. A full list that does not end the
+///    arena moves to the arena's end with twice the capacity first, and
+///    its old range becomes dead space;
+///  * Remove swap-removes within the list (the last position takes the
+///    removed one's place) and erases the key with its last position, so
+///    no list is empty; Repoint rewrites one position in place.
+/// Once the dead space exceeds the live positions, the lists are packed
+/// back to back, each in its own order (Compact). A list's unused capacity
+/// is not dead: it is room for its next appends.
+///
+/// A span returned by Find stays valid until the next Append, Remove or
+/// Build (a relocation or compaction moves the lists).
 class IdPostingMap {
  public:
+  /// One key's range in the arena; key == kInvalidId marks an empty slot.
+  struct Range {
+    ValueId key = kInvalidId;
+    uint32_t begin = 0;
+    uint32_t size = 0;
+    uint32_t capacity = 0;
+  };
+
   IdPostingMap() = default;
 
+  /// Number of keys.
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  /// The posting list for `key`, or nullptr.
-  const std::vector<uint32_t>* Find(ValueId key) const {
-    if (slots_.empty()) return nullptr;
-    size_t mask = slots_.size() - 1;
-    for (size_t i = HashValueId(key) & mask;; i = (i + 1) & mask) {
-      if (slots_[i].key == key) return &slots_[i].rows;
-      if (slots_[i].key == kInvalidId) return nullptr;
-    }
-  }
-  std::vector<uint32_t>* Find(ValueId key) {
-    return const_cast<std::vector<uint32_t>*>(
-        static_cast<const IdPostingMap*>(this)->Find(key));
+  /// The posting list for `key`, empty if absent.
+  std::span<const uint32_t> Find(ValueId key) const {
+    const Range* r = FindRange(key);
+    if (r == nullptr) return {};
+    return {arena_.data() + r->begin, r->size};
   }
 
-  /// The posting list for `key`, default-constructed if absent.
-  std::vector<uint32_t>& operator[](ValueId key) {
-    if (slots_.empty() || (size_ + 1) * 10 > slots_.size() * 7) Grow();
-    size_t mask = slots_.size() - 1;
-    size_t i = HashValueId(key) & mask;
-    while (slots_[i].key != key && slots_[i].key != kInvalidId) {
-      i = (i + 1) & mask;
-    }
-    if (slots_[i].key == kInvalidId) {
-      slots_[i].key = key;
-      ++size_;
-    }
-    return slots_[i].rows;
-  }
+  /// Replaces the contents with the positions of `rows` by their value in
+  /// `column`, each list in row order.
+  void Build(const std::vector<ITuple>& rows, size_t column);
 
-  /// Removes `key` (no-op if absent), backward-shifting the displaced run
-  /// so probes never need tombstones.
-  void Erase(ValueId key) {
-    if (slots_.empty()) return;
-    size_t mask = slots_.size() - 1;
-    size_t i = HashValueId(key) & mask;
-    while (slots_[i].key != key) {
-      if (slots_[i].key == kInvalidId) return;
-      i = (i + 1) & mask;
-    }
-    --size_;
-    size_t j = i;
-    while (true) {
-      j = (j + 1) & mask;
-      if (slots_[j].key == kInvalidId) break;
-      size_t ideal = HashValueId(slots_[j].key) & mask;
-      // Move j down iff its probe run started at or before the hole —
-      // i.e. the hole lies inside j's probe sequence.
-      if (((j - ideal) & mask) >= ((j - i) & mask)) {
-        slots_[i] = std::move(slots_[j]);
-        slots_[j].key = kInvalidId;
-        slots_[j].rows = std::vector<uint32_t>();
-        i = j;
-      }
-    }
-    slots_[i].key = kInvalidId;
-    slots_[i].rows = std::vector<uint32_t>();
-  }
+  /// Appends `pos` to the list of `key`, creating the list if absent.
+  void Append(ValueId key, uint32_t pos);
 
-  void Clear() {
-    slots_.clear();
-    size_ = 0;
-  }
+  /// Swap-removes `pos` from the list of `key`, erasing the key when the
+  /// list empties. Returns false (and changes nothing) if the list does
+  /// not hold `pos`.
+  bool Remove(ValueId key, uint32_t pos);
+
+  /// Rewrites the occurrence of `from` in the list of `key` to `to`.
+  /// Returns false (and changes nothing) if the list does not hold `from`.
+  bool Repoint(ValueId key, uint32_t from, uint32_t to);
 
   /// Calls f(key, posting_list) for every entry, in unspecified order.
   /// Callers needing a deterministic order must sort what they collect
@@ -102,8 +82,10 @@ class IdPostingMap {
   /// safe).
   template <typename F>
   void ForEach(F&& f) const {
-    for (const Slot& s : slots_) {
-      if (s.key != kInvalidId) f(s.key, s.rows);
+    for (const Range& r : slots_) {
+      if (r.key != kInvalidId) {
+        f(r.key, std::span<const uint32_t>(arena_.data() + r.begin, r.size));
+      }
     }
   }
 
@@ -115,33 +97,59 @@ class IdPostingMap {
   std::vector<ValueId> SortedKeys() const {
     std::vector<ValueId> keys;
     keys.reserve(size_);
-    for (const Slot& s : slots_) {
-      if (s.key != kInvalidId) keys.push_back(s.key);
+    for (const Range& r : slots_) {
+      if (r.key != kInvalidId) keys.push_back(r.key);
     }
     std::sort(keys.begin(), keys.end());
     return keys;
   }
 
- private:
-  struct Slot {
-    ValueId key = kInvalidId;
-    std::vector<uint32_t> rows;
-  };
+  /// The layout, for audits and tests: every slot of the table (empty ones
+  /// included), the arena, and the dead words in it.
+  std::span<const Range> slots() const { return slots_; }
+  std::span<const uint32_t> arena() const { return arena_; }
+  size_t dead() const { return dead_; }
 
-  void Grow() {
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.empty() ? 16 : old.size() * 2, Slot{});
+  /// Same keys, each with the same list in the same order; the layout
+  /// (slot placement, arena offsets, capacities, dead space) is ignored.
+  friend bool operator==(const IdPostingMap& a, const IdPostingMap& b);
+
+ private:
+  // Test-only backdoor used by the corruption-injection tests to seed
+  // invariant violations (tests/invariant_audit_test.cc).
+  friend struct RelationCorruptor;
+
+  const Range* FindRange(ValueId key) const {
+    if (slots_.empty()) return nullptr;
     size_t mask = slots_.size() - 1;
-    for (Slot& s : old) {
-      if (s.key == kInvalidId) continue;
-      size_t i = HashValueId(s.key) & mask;
-      while (slots_[i].key != kInvalidId) i = (i + 1) & mask;
-      slots_[i] = std::move(s);
+    for (size_t i = HashValueId(key) & mask;; i = (i + 1) & mask) {
+      if (slots_[i].key == key) return &slots_[i];
+      if (slots_[i].key == kInvalidId) return nullptr;
     }
   }
+  Range* FindRange(ValueId key) {
+    return const_cast<Range*>(
+        static_cast<const IdPostingMap*>(this)->FindRange(key));
+  }
 
-  std::vector<Slot> slots_;
-  size_t size_ = 0;
+  /// The slot of `key`, claimed (with an empty range) if absent.
+  Range& FindOrInsertRange(ValueId key);
+
+  /// Empties slot `hole` and backward-shifts the probe run behind it.
+  void EraseSlot(size_t hole);
+
+  /// Doubles the table (16 slots when empty), keeping every range.
+  void Grow();
+
+  /// Packs the lists back to back, each at capacity == size, dropping the
+  /// dead space.
+  void Compact();
+
+  std::vector<Range> slots_;
+  std::vector<uint32_t> arena_;
+  size_t size_ = 0;  // keys
+  size_t live_ = 0;  // positions in lists, the sum of the ranges' sizes
+  size_t dead_ = 0;  // arena words no range covers
 };
 
 /// Intersection of two sorted id vectors, galloping from the smaller side:

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 
 #include "src/common/check.h"
 #include "src/common/invariant.h"
 
 namespace qoco::relational {
-
-const std::vector<uint32_t> Relation::kEmptyRows;
 
 bool Relation::Contains(const Tuple& t) const {
   std::optional<ITuple> ids = FindTuple(t, *dict_);
@@ -34,7 +33,7 @@ bool Relation::InsertIds(const ITuple& t) {
   rows_.push_back(t);
   slots_[slot] = pos + 1;
   for (size_t col = 0; col < arity_; ++col) {
-    if (index_valid_[col]) column_index_[col][t[col]].push_back(pos);
+    if (index_valid_[col]) column_index_[col].Append(t[col], pos);
   }
   return true;
 }
@@ -97,58 +96,45 @@ void Relation::EraseSlot(size_t hole) {
 }
 
 void Relation::RemovePosting(size_t column, ValueId id, uint32_t pos) {
-  IdPostingMap& index = column_index_[column];
-  std::vector<uint32_t>* list = index.Find(id);
-  QOCO_DCHECK(list != nullptr) << "no posting list for "
-                               << dict_->ToString(id) << " in column "
-                               << column;
-  auto slot = std::find(list->begin(), list->end(), pos);
-  QOCO_DCHECK(slot != list->end())
-      << "position " << pos << " missing from the posting list of "
-      << dict_->ToString(id) << " in column " << column;
-  *slot = list->back();
-  list->pop_back();
-  if (list->empty()) index.Erase(id);
+  bool removed = column_index_[column].Remove(id, pos);
+  QOCO_DCHECK(removed) << "position " << pos
+                       << " missing from the posting list of "
+                       << dict_->ToString(id) << " in column " << column;
 }
 
 void Relation::RepointPosting(size_t column, ValueId id, uint32_t from,
                               uint32_t to) {
-  std::vector<uint32_t>* list = column_index_[column].Find(id);
-  QOCO_DCHECK(list != nullptr) << "no posting list for "
-                               << dict_->ToString(id) << " in column "
-                               << column;
-  auto slot = std::find(list->begin(), list->end(), from);
-  QOCO_DCHECK(slot != list->end())
-      << "position " << from << " missing from the posting list of "
-      << dict_->ToString(id) << " in column " << column;
-  *slot = to;
+  bool repointed = column_index_[column].Repoint(id, from, to);
+  QOCO_DCHECK(repointed) << "position " << from
+                         << " missing from the posting list of "
+                         << dict_->ToString(id) << " in column " << column;
 }
 
 void Relation::EnsureIndex(size_t column) const {
   if (index_valid_[column]) return;
-  IdPostingMap& index = column_index_[column];
-  index.Clear();
-  for (uint32_t pos = 0; pos < rows_.size(); ++pos) {
-    index[rows_[pos][column]].push_back(pos);
-  }
+  column_index_[column].Build(rows_, column);
   index_valid_[column] = true;
 }
 
-const std::vector<uint32_t>& Relation::RowsWithId(size_t column,
-                                                  ValueId id) const {
-  EnsureIndex(column);
-  const std::vector<uint32_t>* list = column_index_[column].Find(id);
-  return list != nullptr ? *list : kEmptyRows;
+void Relation::InstallPostings(size_t column,
+                               const IdPostingMap& postings) const {
+  if (index_valid_[column]) return;
+  if constexpr (common::kDebugChecksEnabled) {
+    IdPostingMap fresh;
+    fresh.Build(rows_, column);
+    QOCO_CHECK(fresh == postings)
+        << "postings installed into column " << column
+        << " differ from a build over the relation's " << rows_.size()
+        << " rows";
+  }
+  column_index_[column] = postings;
+  index_valid_[column] = true;
 }
 
-const std::vector<uint32_t>& Relation::RowsWithValue(size_t column,
-                                                     const Value& v) const {
-  std::optional<ValueId> id = dict_->Find(v);
-  if (!id.has_value()) {
-    EnsureIndex(column);
-    return kEmptyRows;
-  }
-  return RowsWithId(column, *id);
+std::span<const uint32_t> Relation::RowsWithId(size_t column,
+                                               ValueId id) const {
+  EnsureIndex(column);
+  return column_index_[column].Find(id);
 }
 
 size_t Relation::CountRowsWithId(size_t column, ValueId id) const {
@@ -159,13 +145,91 @@ std::vector<Value> Relation::ColumnDomain(size_t column) const {
   EnsureIndex(column);
   std::vector<Value> domain;
   domain.reserve(column_index_[column].size());
-  column_index_[column].ForEach(
-      [&](ValueId id, const std::vector<uint32_t>&) {
-        domain.push_back(dict_->Materialize(id));
-      });
+  column_index_[column].ForEach([&](ValueId id, std::span<const uint32_t>) {
+    domain.push_back(dict_->Materialize(id));
+  });
   std::sort(domain.begin(), domain.end());
   return domain;
 }
+
+namespace {
+
+/// Audits one built column index over `rows`. The layout comes first: every
+/// range must lie inside the arena and hold at most its capacity, and no
+/// two ranges may overlap. Only the lists whose range passed are read.
+/// Then every posting round-trips through the row store, no list is empty
+/// or holds duplicates, and the postings cover the rows exactly once (so
+/// swap-remove left no stale or dangling last-row positions behind).
+void AuditPostings(const IdPostingMap& index, size_t col,
+                   const std::vector<ITuple>& rows,
+                   const ValueDictionary& dict,
+                   common::InvariantAuditor* audit) {
+  const std::span<const uint32_t> arena = index.arena();
+  std::vector<IdPostingMap::Range> ranges;
+  for (const IdPostingMap::Range& r : index.slots()) {
+    if (r.key == kInvalidId) continue;
+    if (r.size > r.capacity) {
+      audit->Violation() << "column " << col << " posting list of "
+                         << dict.ToString(r.key) << " holds " << r.size
+                         << " positions in a capacity of " << r.capacity;
+    } else if (size_t{r.begin} + r.capacity > arena.size()) {
+      audit->Violation() << "column " << col << " posting list of "
+                         << dict.ToString(r.key) << " ends at "
+                         << size_t{r.begin} + r.capacity << ", past the "
+                         << arena.size() << " words of its arena";
+    } else {
+      ranges.push_back(r);
+    }
+  }
+  std::sort(ranges.begin(), ranges.end(),
+            [](const IdPostingMap::Range& a, const IdPostingMap::Range& b) {
+              return a.begin < b.begin;
+            });
+  for (size_t i = 0; i + 1 < ranges.size(); ++i) {
+    if (size_t{ranges[i].begin} + ranges[i].capacity > ranges[i + 1].begin) {
+      audit->Violation() << "column " << col << " posting lists of "
+                         << dict.ToString(ranges[i].key) << " and "
+                         << dict.ToString(ranges[i + 1].key)
+                         << " overlap in the arena";
+    }
+  }
+
+  size_t postings = 0;
+  for (const IdPostingMap::Range& r : ranges) {
+    const std::span<const uint32_t> list = arena.subspan(r.begin, r.size);
+    if (list.empty()) {
+      audit->Violation() << "column " << col
+                         << " keeps an empty posting list for "
+                         << dict.ToString(r.key);
+    }
+    postings += list.size();
+    std::vector<uint32_t> sorted(list.begin(), list.end());
+    std::sort(sorted.begin(), sorted.end());
+    if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+      audit->Violation() << "column " << col << " posting list of "
+                         << dict.ToString(r.key)
+                         << " holds duplicate positions";
+    }
+    for (uint32_t pos : list) {
+      if (pos >= rows.size()) {
+        audit->Violation() << "column " << col << " posting list of "
+                           << dict.ToString(r.key) << " holds stale position "
+                           << pos << " (only " << rows.size() << " rows)";
+      } else if (rows[pos][col] != r.key) {
+        audit->Violation() << "column " << col << " posting list of "
+                           << dict.ToString(r.key) << " lists position "
+                           << pos << " whose value is "
+                           << dict.ToString(rows[pos][col]);
+      }
+    }
+  }
+  if (postings != rows.size()) {
+    audit->Violation() << "column " << col << " indexes " << postings
+                       << " postings for " << rows.size() << " rows";
+  }
+}
+
+}  // namespace
 
 common::Status Relation::AuditInvariants() const {
   common::InvariantAuditor audit("relational::Relation");
@@ -244,44 +308,9 @@ common::Status Relation::AuditInvariants() const {
     }
   }
 
-  // Built column indexes: every posting round-trips through the row store,
-  // no list is empty, no list holds duplicates, and per column the posting
-  // counts cover the rows exactly once (so swap-remove left no stale or
-  // dangling last-row positions behind).
   for (size_t col = 0; col < arity_; ++col) {
-    if (!index_valid_[col]) continue;
-    size_t postings = 0;
-    column_index_[col].ForEach([&](ValueId id,
-                                   const std::vector<uint32_t>& list) {
-      if (list.empty()) {
-        audit.Violation() << "column " << col
-                          << " keeps an empty posting list for "
-                          << dict_->ToString(id);
-      }
-      postings += list.size();
-      std::vector<uint32_t> sorted = list;
-      std::sort(sorted.begin(), sorted.end());
-      if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
-        audit.Violation() << "column " << col << " posting list of "
-                          << dict_->ToString(id)
-                          << " holds duplicate positions";
-      }
-      for (uint32_t pos : list) {
-        if (pos >= rows_.size()) {
-          audit.Violation() << "column " << col << " posting list of "
-                            << dict_->ToString(id) << " holds stale position "
-                            << pos << " (only " << rows_.size() << " rows)";
-        } else if (rows_[pos][col] != id) {
-          audit.Violation() << "column " << col << " posting list of "
-                            << dict_->ToString(id) << " lists position "
-                            << pos << " whose value is "
-                            << dict_->ToString(rows_[pos][col]);
-        }
-      }
-    });
-    if (postings != rows_.size()) {
-      audit.Violation() << "column " << col << " indexes " << postings
-                        << " postings for " << rows_.size() << " rows";
+    if (index_valid_[col]) {
+      AuditPostings(column_index_[col], col, rows_, *dict_, &audit);
     }
   }
   return audit.Finish();

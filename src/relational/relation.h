@@ -2,6 +2,7 @@
 #define QOCO_RELATIONAL_RELATION_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/common/status.h"
@@ -16,8 +17,8 @@ namespace qoco::relational {
 /// are ITuples of dictionary-interned ValueIds (see value_dictionary.h), so
 /// membership, joins and index probes are integer compares — no string
 /// bytes, no variant dispatch. The Value-typed entry points intern (Insert)
-/// or probe without interning (Contains/Erase/RowsWithValue) and exist for
-/// the boundaries; hot paths use the *Id twins.
+/// or probe without interning (Contains/Erase) and exist for the
+/// boundaries; hot paths use the *Id twins.
 ///
 /// Membership is a flat open-addressed table of row positions: each slot
 /// holds 1 + the position of a row in rows_ (0 marks an empty slot), probed
@@ -34,10 +35,10 @@ namespace qoco::relational {
 /// index is *incrementally maintained* across Insert/Erase: insertions
 /// append the new row position to the matching posting list, and the
 /// swap-remove performed by Erase patches the two affected posting lists in
-/// place. An index is therefore built at most once over the relation's
-/// lifetime, and the posting lists returned by RowsWithId stay valid until
-/// the next mutation of this relation (building indexes for *other* columns
-/// does not invalidate them).
+/// place. An index is therefore built (or installed, InstallPostings) at
+/// most once over the relation's lifetime, and the posting lists returned
+/// by RowsWithId stay valid until the next mutation of this relation
+/// (building indexes for *other* columns does not invalidate them).
 ///
 /// Invariants while index_valid_[c] holds:
 ///  * column_index_[c][v] lists exactly the positions p with rows_[p][c] == v
@@ -99,14 +100,10 @@ class Relation {
   }
 
   /// Row positions whose `column` equals the value behind `id`. The
-  /// returned reference is valid until the next mutation of this relation;
+  /// returned span is valid until the next mutation of this relation;
   /// probing other columns (or other relations) does not invalidate it.
   /// Precondition: column < arity().
-  const std::vector<uint32_t>& RowsWithId(size_t column, ValueId id) const;
-
-  /// Value-typed probe (non-interning) for boundary callers.
-  const std::vector<uint32_t>& RowsWithValue(size_t column,
-                                             const Value& v) const;
+  std::span<const uint32_t> RowsWithId(size_t column, ValueId id) const;
 
   /// The whole per-column index (built on demand), for derived statistics:
   /// the query planner's ColumnStats reads each column's sorted domain once
@@ -123,6 +120,14 @@ class Relation {
   /// column < arity().
   bool IndexBuilt(size_t column) const { return index_valid_[column]; }
 
+  /// Installs a copy of `postings` as `column`'s index if the column is
+  /// cold; a built column is left as it is. `postings` must be what a
+  /// build over the current rows gives (same keys, same lists in the same
+  /// order): ColumnPostings of a relation with these rows, taken before
+  /// any edit patched it. Under QOCO_DEBUG_CHECKS the copy is checked
+  /// against a fresh build. Precondition: column < arity().
+  void InstallPostings(size_t column, const IdPostingMap& postings) const;
+
   /// Number of rows whose `column` equals the value behind `id`.
   /// Equivalent to RowsWithId(column, id).size(); spelled out so call sites
   /// that only need a cardinality (e.g. join-order scoring) don't read as
@@ -135,10 +140,12 @@ class Relation {
   /// Deep audit of every class invariant: every row id materializes through
   /// the dictionary (no dangling/orphan ids), the membership table names
   /// every row exactly once, from a slot a probe for that row reaches, and
-  /// names no position past the rows; every built posting list entry
-  /// matches its row (no stale positions left behind by the swap-remove
-  /// maintenance), no posting list is empty, and per built column the
-  /// posting counts cover the rows exactly once. O(rows × arity) plus
+  /// names no position past the rows; in every built index each list's
+  /// range lies inside the arena, holds at most its capacity and overlaps
+  /// no other list's range; every built posting list entry matches its
+  /// row (no stale positions left behind by the swap-remove maintenance),
+  /// no posting list is empty, and per built column the posting counts
+  /// cover the rows exactly once. O(rows × arity) plus
   /// hashing; meant for debug builds, fuzz checkpoints, and the
   /// corruption-injection tests — not the hot path. Returns OK or a
   /// kInternal Status listing every violation.
@@ -187,8 +194,6 @@ class Relation {
   // build never reallocates the outer vector mid-evaluation.
   mutable std::vector<IdPostingMap> column_index_;
   mutable std::vector<bool> index_valid_;
-
-  static const std::vector<uint32_t> kEmptyRows;
 };
 
 }  // namespace qoco::relational

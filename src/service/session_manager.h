@@ -105,11 +105,13 @@ struct SessionResult {
 /// they evaluate it once. The manager keeps, per query signature, one
 /// query::ViewSeed made at the newest snapshot a session of that signature
 /// has read. A session whose first step is a kCleanView of that signature
-/// at that snapshot starts its view from its own copy of the seed;
-/// otherwise it evaluates the view, makes the seed and publishes it unless
-/// a newer one is held. A published seed is read-only, and several
-/// workers may copy it at once. Union first steps and later steps evaluate
-/// as before. Results are the same either way (see query::IncrementalView).
+/// at that snapshot starts its view from the seed: it shares the seed's
+/// immutable witness sets and copies the seed's posting lists into its
+/// private database's cold columns; otherwise it evaluates the view, makes
+/// the seed and publishes it unless a newer one is held. A published seed
+/// is read-only, and several workers may read it at once. Union first
+/// steps and later steps evaluate as before. Results are the same either
+/// way (see query::IncrementalView).
 ///
 /// Bounded state: a finished session's private database is retired and
 /// freed on the coordinator by the next Submit or Wait (a worker frees

@@ -14,6 +14,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cleaning/cleaner.h"
@@ -35,18 +36,18 @@ using relational::Fact;
 using relational::Tuple;
 using relational::Value;
 
-/// Asserts that the maintained view result matches `expected` exactly:
-/// same answers (both sorted by tuple), per answer the same witness *set*
-/// (order may differ between the paths).
-void ExpectSameResult(const EvalResult& view, const EvalResult& expected,
+/// Asserts that the maintained view matches `expected` exactly: same
+/// answers (both sorted by tuple), per answer the same witness *set* (order
+/// may differ between the paths).
+void ExpectSameResult(const IncrementalView& view, const EvalResult& expected,
                       const char* context) {
   ASSERT_EQ(view.size(), expected.size()) << context;
+  const std::vector<Tuple> tuples = view.AnswerTuples();
   for (size_t i = 0; i < expected.answers().size(); ++i) {
-    const AnswerInfo& got = view.answers()[i];
     const AnswerInfo& want = expected.answers()[i];
-    ASSERT_EQ(got.tuple, want.tuple) << context;
+    ASSERT_EQ(tuples[i], want.tuple) << context;
 
-    provenance::WitnessSet got_w = got.witnesses;
+    provenance::WitnessSet got_w = view.Witnesses(want.tuple);
     provenance::WitnessSet want_w = want.witnesses;
     if (!got_w.empty() || !want_w.empty()) {
       const provenance::Witness& any =
@@ -57,7 +58,7 @@ void ExpectSameResult(const EvalResult& view, const EvalResult& expected,
     }
     ASSERT_EQ(got_w == want_w, true)
         << context << ": witness sets differ for answer "
-        << relational::TupleToString(got.tuple);
+        << relational::TupleToString(want.tuple);
   }
 }
 
@@ -87,12 +88,12 @@ TEST_F(IncrementalViewTest, InsertDeltaCreatesAnswer) {
   ASSERT_TRUE(db_->Insert({r_, {Value("x"), Value("y")}}).ok());
   CQuery q = Parse("(a) :- R(a, b), S(b).");
   IncrementalView view(q, db_.get());
-  EXPECT_TRUE(view.result().empty());
+  EXPECT_EQ(view.size(), 0u);
 
   Fact f{s_, {Value("y")}};
   ASSERT_TRUE(db_->Insert(f).ok());
   view.OnInsert(f);
-  EXPECT_TRUE(view.result().ContainsAnswer(Tuple{Value("x")}));
+  EXPECT_EQ(view.AnswerTuples(), std::vector<Tuple>{Tuple{Value("x")}});
   EXPECT_EQ(view.stats().insert_deltas, 1u);
 }
 
@@ -103,21 +104,23 @@ TEST_F(IncrementalViewTest, EraseDeltaRemovesAnswerAndWitness) {
   ASSERT_TRUE(db_->Insert({s_, {Value("z")}}).ok());
   CQuery q = Parse("(a) :- R(a, b), S(b).");
   IncrementalView view(q, db_.get());
-  ASSERT_EQ(view.result().size(), 1u);
-  ASSERT_EQ(view.result().answers()[0].witnesses.size(), 2u);
+  const Tuple x{Value("x")};
+  ASSERT_EQ(view.size(), 1u);
+  ASSERT_EQ(view.Witnesses(x).size(), 2u);
 
   // Destroying one witness keeps the answer with the surviving witness.
   Fact f{s_, {Value("y")}};
   ASSERT_TRUE(db_->Erase(f).ok());
   view.OnErase(f);
-  ASSERT_EQ(view.result().size(), 1u);
-  EXPECT_EQ(view.result().answers()[0].witnesses.size(), 1u);
+  ASSERT_EQ(view.size(), 1u);
+  EXPECT_EQ(view.Witnesses(x).size(), 1u);
 
   // Destroying the last witness erases the answer.
   Fact g{r_, {Value("x"), Value("z")}};
   ASSERT_TRUE(db_->Erase(g).ok());
   view.OnErase(g);
-  EXPECT_TRUE(view.result().empty());
+  EXPECT_EQ(view.size(), 0u);
+  EXPECT_TRUE(view.Witnesses(x).empty());
   EXPECT_EQ(view.stats().erase_deltas, 2u);
 }
 
@@ -143,12 +146,12 @@ TEST_F(IncrementalViewTest, NotificationsAreIdempotent) {
   // Replaying an insert already reflected in db and view must not
   // duplicate witnesses.
   view.OnInsert({s_, {Value("y")}});
-  ASSERT_EQ(view.result().size(), 1u);
-  EXPECT_EQ(view.result().answers()[0].witnesses.size(), 1u);
+  ASSERT_EQ(view.size(), 1u);
+  EXPECT_EQ(view.Witnesses(Tuple{Value("x")}).size(), 1u);
 
   // Replaying an erase of an absent fact is a no-op.
   view.OnErase({s_, {Value("nope")}});
-  EXPECT_EQ(view.result().size(), 1u);
+  EXPECT_EQ(view.size(), 1u);
 }
 
 TEST_F(IncrementalViewTest, ReplayedInsertAndEraseKeepTheWitnessSet) {
@@ -162,7 +165,7 @@ TEST_F(IncrementalViewTest, ReplayedInsertAndEraseKeepTheWitnessSet) {
   IncrementalView view(Parse("(a) :- R(a, b), S(b)."), db_.get());
   auto witnesses = [&] {
     std::vector<std::string> out;
-    for (const provenance::Witness& w : view.result().answers()[0].witnesses) {
+    for (const provenance::Witness& w : view.Witnesses(Tuple{Value("x")})) {
       out.push_back(w.ToString(*db_));
     }
     std::sort(out.begin(), out.end());
@@ -194,13 +197,13 @@ TEST_F(IncrementalViewTest, SelfJoinPinsEveryAtom) {
   CQuery q = Parse("(a, c) :- R(a, b), R(b, c).");
   ASSERT_TRUE(db_->Insert({r_, {Value("p"), Value("p")}}).ok());
   IncrementalView view(q, db_.get());
-  ASSERT_EQ(view.result().size(), 1u);
+  ASSERT_EQ(view.size(), 1u);
 
   Fact f{r_, {Value("p"), Value("q")}};
   ASSERT_TRUE(db_->Insert(f).ok());
   view.OnInsert(f);
   Evaluator evaluator(db_.get());
-  ExpectSameResult(view.result(), evaluator.Evaluate(q), "self join");
+  ExpectSameResult(view, evaluator.Evaluate(q), "self join");
 }
 
 TEST_F(IncrementalViewTest, UnionViewMergesAndCombinesWitnesses) {
@@ -233,7 +236,7 @@ void FuzzQuery(const CQuery& q, Database* db, const Database& reference,
                size_t steps, common::Rng* rng, size_t* performed) {
   Evaluator evaluator(db);  // From-scratch reference evaluation.
   IncrementalView view(q, db);
-  ExpectSameResult(view.result(), evaluator.Evaluate(q), "initial");
+  ExpectSameResult(view, evaluator.Evaluate(q), "initial");
 
   std::vector<relational::RelationId> rels;
   for (const Atom& atom : q.atoms()) {
@@ -273,7 +276,7 @@ void FuzzQuery(const CQuery& q, Database* db, const Database& reference,
       view.OnInsert(fresh);
     }
     ++*performed;
-    ExpectSameResult(view.result(), evaluator.Evaluate(q), "after step");
+    ExpectSameResult(view, evaluator.Evaluate(q), "after step");
     // Periodic deep audit: the index maintenance inside the database and
     // the delta-maintained view both uphold their class invariants, not
     // just result equality.
@@ -336,29 +339,21 @@ void ExpectSameIndexes(const Database& a, const Database& b) {
                    std::to_string(col));
       ASSERT_EQ(x.IndexBuilt(col), y.IndexBuilt(col));
       if (!x.IndexBuilt(col)) continue;
-      const relational::IdPostingMap& want = x.ColumnPostings(col);
-      const relational::IdPostingMap& got = y.ColumnPostings(col);
-      ASSERT_EQ(want.size(), got.size());
-      want.ForEach([&](relational::ValueId id,
-                       const std::vector<uint32_t>& list) {
-        const std::vector<uint32_t>* other = got.Find(id);
-        ASSERT_NE(other, nullptr);
-        EXPECT_EQ(list, *other);
-      });
+      EXPECT_TRUE(x.ColumnPostings(col) == y.ColumnPostings(col));
     }
   }
 }
 
 /// The first extension of a limited search over each single-atom subquery
-/// of Q|t, for every answer t of `view`: what Algorithm 2's data-directed
-/// extension reads from posting-list order (empty witness: none found).
-std::vector<provenance::Witness> FirstExtensions(const CQuery& q,
-                                                 const EvalResult& view,
-                                                 const Database& db) {
+/// of Q|t, for every answer t in `answers`: what Algorithm 2's
+/// data-directed extension reads from posting-list order (empty witness:
+/// none found).
+std::vector<provenance::Witness> FirstExtensions(
+    const CQuery& q, const std::vector<Tuple>& answers, const Database& db) {
   Evaluator evaluator(&db);
   std::vector<provenance::Witness> firsts;
-  for (const AnswerInfo& info : view.answers()) {
-    auto q_t = q.InstantiateAnswer(info.tuple);
+  for (const Tuple& t : answers) {
+    auto q_t = q.InstantiateAnswer(t);
     EXPECT_TRUE(q_t.ok()) << q_t.status().ToString();
     if (!q_t.ok()) continue;
     for (size_t i = 0; i < q_t->atoms().size(); ++i) {
@@ -417,10 +412,11 @@ TEST(ViewSeedTest, SeededViewMatchesAColdViewAfterErases) {
     // The same erases on every copy: witness facts of the view's answers,
     // so the view shrinks and built posting lists are patched.
     std::vector<Fact> erases;
-    for (const AnswerInfo& info : cold.result().answers()) {
+    for (const Tuple& t : cold.AnswerTuples()) {
       if (rng.Chance(0.5)) continue;
+      const provenance::WitnessSet& witnesses = cold.Witnesses(t);
       const provenance::Witness& w =
-          info.witnesses[rng.Index(info.witnesses.size())];
+          witnesses[rng.Index(witnesses.size())];
       const relational::IFact& f = w.facts()[rng.Index(w.facts().size())];
       erases.push_back(relational::MaterializeFact(f, base.dict()));
     }
@@ -433,23 +429,21 @@ TEST(ViewSeedTest, SeededViewMatchesAColdViewAfterErases) {
     }
 
     // Same answers, same witness lists in the same order.
-    ASSERT_EQ(cold.result().size(), seeded.result().size());
-    for (size_t i = 0; i < cold.result().size(); ++i) {
-      const AnswerInfo& want = cold.result().answers()[i];
-      const AnswerInfo& got = seeded.result().answers()[i];
-      ASSERT_EQ(want.tuple, got.tuple);
-      EXPECT_TRUE(want.witnesses == got.witnesses)
-          << "witnesses of " << relational::TupleToString(want.tuple);
+    const std::vector<Tuple> answers = cold.AnswerTuples();
+    ASSERT_EQ(answers, seeded.AnswerTuples());
+    for (const Tuple& t : answers) {
+      EXPECT_TRUE(cold.Witnesses(t) == seeded.Witnesses(t))
+          << "witnesses of " << relational::TupleToString(t);
     }
     ExpectSameIndexes(cold_db, seeded_db);
     if (::testing::Test::HasFatalFailure()) return;
 
     std::vector<provenance::Witness> want =
-        FirstExtensions(*q, cold.result(), cold_db);
+        FirstExtensions(*q, answers, cold_db);
     std::vector<provenance::Witness> got =
-        FirstExtensions(*q, cold.result(), seeded_db);
+        FirstExtensions(*q, answers, seeded_db);
     std::vector<provenance::Witness> late =
-        FirstExtensions(*q, cold.result(), late_db);
+        FirstExtensions(*q, answers, late_db);
     ASSERT_EQ(want.size(), got.size());
     ASSERT_EQ(want.size(), late.size());
     for (size_t i = 0; i < want.size(); ++i) {
@@ -462,6 +456,95 @@ TEST(ViewSeedTest, SeededViewMatchesAColdViewAfterErases) {
   // the first extensions.
   EXPECT_GT(searches, 50u);
   EXPECT_GT(differ_without_replay, 0u);
+}
+
+// Views started from one seed share its witness sets, and a delta replaces
+// the sets it changes instead of writing them. After one adopter erases and
+// re-inserts witness facts, the seed and a second adopter still hold the
+// evaluation's sets, list for list, and each adopter equals a from-scratch
+// evaluation of its own database.
+TEST(ViewSeedTest, AdoptersShareWitnessSetsThatEditsReplace) {
+  auto data = workload::MakeSoccerData(workload::SoccerParams{});
+  ASSERT_TRUE(data.ok());
+  workload::NoiseParams noise;
+  noise.seed = 43;
+  auto dirty = workload::MakeDirty(*data->ground_truth, noise);
+  ASSERT_TRUE(dirty.ok());
+  const Database base = std::move(dirty).value();
+  common::Rng rng(11);
+
+  size_t replaced = 0;
+  size_t still_shared = 0;
+  for (size_t qi = 1; qi <= 5; ++qi) {
+    SCOPED_TRACE(::testing::Message() << "Q" << qi);
+    auto q = workload::SoccerQuery(qi, *data->catalog);
+    ASSERT_TRUE(q.ok());
+    const ViewSeed seed = [&] {
+      Database maker = base;
+      return MakeViewSeed(*q, maker);
+    }();
+    // A deep copy of the seed's answers, to compare against after the edits.
+    std::vector<std::pair<Tuple, provenance::WitnessSet>> evaluated;
+    for (const ViewAnswer& answer : seed.answers) {
+      evaluated.emplace_back(answer.tuple, *answer.witnesses);
+    }
+
+    Database first_db = base;
+    Database second_db = base;
+    IncrementalView first(*q, &first_db, seed);
+    IncrementalView second(*q, &second_db, seed);
+    for (const ViewAnswer& answer : seed.answers) {
+      ASSERT_EQ(&first.Witnesses(answer.tuple), answer.witnesses.get());
+      ASSERT_EQ(&second.Witnesses(answer.tuple), answer.witnesses.get());
+    }
+
+    // The first adopter erases a witness fact of about half the answers,
+    // then re-inserts every other erased fact.
+    std::vector<Fact> erased;
+    for (const ViewAnswer& answer : seed.answers) {
+      if (rng.Chance(0.5)) continue;
+      const provenance::Witness& w =
+          (*answer.witnesses)[rng.Index(answer.witnesses->size())];
+      const relational::IFact& f = w.facts()[rng.Index(w.facts().size())];
+      erased.push_back(relational::MaterializeFact(f, base.dict()));
+    }
+    for (const Fact& f : erased) {
+      ASSERT_TRUE(first_db.Erase(f).ok());
+      first.OnErase(f);
+    }
+    for (size_t i = 0; i < erased.size(); i += 2) {
+      ASSERT_TRUE(first_db.Insert(erased[i]).ok());
+      first.OnInsert(erased[i]);
+    }
+
+    // The seed and the second adopter are untouched.
+    ASSERT_EQ(seed.answers.size(), evaluated.size());
+    ASSERT_EQ(second.size(), evaluated.size());
+    for (size_t i = 0; i < evaluated.size(); ++i) {
+      const auto& [tuple, witnesses] = evaluated[i];
+      ASSERT_EQ(seed.answers[i].tuple, tuple);
+      EXPECT_TRUE(*seed.answers[i].witnesses == witnesses)
+          << "seed set of " << relational::TupleToString(tuple);
+      EXPECT_TRUE(second.Witnesses(tuple) == witnesses)
+          << "second adopter's set of " << relational::TupleToString(tuple);
+      const provenance::WitnessSet* held = &first.Witnesses(tuple);
+      if (held == seed.answers[i].witnesses.get()) {
+        ++still_shared;
+      } else {
+        ++replaced;
+      }
+    }
+
+    // Both adopters equal a from-scratch evaluation of their databases.
+    ExpectSameResult(first, Evaluator(&first_db).Evaluate(*q), "first");
+    ExpectSameResult(second, Evaluator(&second_db).Evaluate(*q), "second");
+    if (::testing::Test::HasFatalFailure()) return;
+    common::Status audit = first.AuditInvariants();
+    EXPECT_TRUE(audit.ok()) << audit.ToString();
+  }
+  // The edits replaced some sets and left the others shared.
+  EXPECT_GT(replaced, 10u);
+  EXPECT_GT(still_shared, 10u);
 }
 
 // The cleaner's maintained view repairs planted errors exactly: the final

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,18 +25,27 @@
 
 namespace qoco::relational {
 
-// Friend of Relation (declared in relation.h): pokes the private index and
-// membership structures to seed invariant violations.
+// Friend of Relation (declared in relation.h) and of IdPostingMap
+// (id_posting_map.h): pokes the private index and membership structures to
+// seed invariant violations.
 struct RelationCorruptor {
   static void BuildIndex(const Relation& r, size_t column) {
     r.EnsureIndex(column);
   }
+  // Column `column`'s index (a mutable member).
+  static IdPostingMap& Postings(const Relation& r, size_t column) {
+    return r.column_index_[column];
+  }
   // Interns `v` through the relation's dictionary on the way in: corruption
   // tests plant postings under values ("ghost") that no stored row carries.
-  static std::vector<uint32_t>& Postings(const Relation& r, size_t column,
-                                         const Value& v) {
-    // mutable member; creates the posting list if absent
-    return r.column_index_[column][r.dict_->Intern(v)];
+  static ValueId Id(const Relation& r, const Value& v) {
+    return r.dict_->Intern(v);
+  }
+  // The arena range of `key`, which `index` must hold.
+  static IdPostingMap::Range& RangeOf(IdPostingMap& index, ValueId key) {
+    IdPostingMap::Range* range = index.FindRange(key);
+    EXPECT_NE(range, nullptr) << "no posting list for id " << key;
+    return *range;
   }
   // The membership table: 1 + a row position per occupied slot.
   static std::vector<uint32_t>& Slots(Relation& r) { return r.slots_; }
@@ -96,7 +106,8 @@ TEST(RelationAuditTest, CleanRelationPassesAfterMixedMutations) {
 TEST(RelationAuditTest, DetectsStalePostingPosition) {
   ValueDictionary dict;
   Relation r = MakeIndexedRelation(&dict);
-  RelationCorruptor::Postings(r, 0, Value("a")).push_back(99);
+  RelationCorruptor::Postings(r, 0).Append(
+      RelationCorruptor::Id(r, Value("a")), 99);
   ExpectViolation(r.AuditInvariants(), "stale position 99");
 }
 
@@ -104,28 +115,70 @@ TEST(RelationAuditTest, DetectsPostingUnderWrongValue) {
   ValueDictionary dict;
   Relation r = MakeIndexedRelation(&dict);
   // Move row 3's posting ("c") under "b": the audit must flag the value
-  // mismatch (and the now-dangling coverage of "c").
-  std::vector<uint32_t>& from = RelationCorruptor::Postings(r, 0, Value("c"));
-  uint32_t pos = from.back();
-  from.pop_back();
-  RelationCorruptor::Postings(r, 0, Value("b")).push_back(pos);
+  // mismatch.
+  IdPostingMap& index = RelationCorruptor::Postings(r, 0);
+  ValueId c = RelationCorruptor::Id(r, Value("c"));
+  uint32_t pos = index.Find(c).back();
+  ASSERT_TRUE(index.Remove(c, pos));
+  index.Append(RelationCorruptor::Id(r, Value("b")), pos);
   ExpectViolation(r.AuditInvariants(), "whose value is");
 }
 
 TEST(RelationAuditTest, DetectsDuplicatePosting) {
   ValueDictionary dict;
   Relation r = MakeIndexedRelation(&dict);
-  std::vector<uint32_t>& list = RelationCorruptor::Postings(r, 0, Value("a"));
-  list.push_back(list.front());
+  IdPostingMap& index = RelationCorruptor::Postings(r, 0);
+  ValueId a = RelationCorruptor::Id(r, Value("a"));
+  index.Append(a, index.Find(a).front());
   ExpectViolation(r.AuditInvariants(), "duplicate positions");
 }
 
 TEST(RelationAuditTest, DetectsEmptyPostingList) {
   ValueDictionary dict;
   Relation r = MakeIndexedRelation(&dict);
-  // operator[] creates the empty list the erase path must never leave.
-  RelationCorruptor::Postings(r, 1, Value("ghost"));
+  // The empty list the erase path must never leave: a key whose range
+  // holds no position.
+  IdPostingMap& index = RelationCorruptor::Postings(r, 1);
+  ValueId ghost = RelationCorruptor::Id(r, Value("ghost"));
+  index.Append(ghost, 0);
+  RelationCorruptor::RangeOf(index, ghost).size = 0;
   ExpectViolation(r.AuditInvariants(), "empty posting list");
+}
+
+TEST(RelationAuditTest, DetectsOverlappingPostingRanges) {
+  ValueDictionary dict;
+  Relation r = MakeIndexedRelation(&dict);
+  // Point "b"'s one-position list at the start of "a"'s two-position list,
+  // inside the arena.
+  IdPostingMap& index = RelationCorruptor::Postings(r, 0);
+  RelationCorruptor::RangeOf(index, RelationCorruptor::Id(r, Value("b")))
+      .begin =
+      RelationCorruptor::RangeOf(index, RelationCorruptor::Id(r, Value("a")))
+          .begin;
+  ExpectViolation(r.AuditInvariants(), "overlap in the arena");
+}
+
+TEST(RelationAuditTest, DetectsPostingRangePastTheArena) {
+  ValueDictionary dict;
+  Relation r = MakeIndexedRelation(&dict);
+  // The audit must report the range without reading it (an out-of-range
+  // read aborts under the sanitizer presets' _GLIBCXX_ASSERTIONS).
+  IdPostingMap& index = RelationCorruptor::Postings(r, 0);
+  RelationCorruptor::RangeOf(index, RelationCorruptor::Id(r, Value("c")))
+      .begin = static_cast<uint32_t>(index.arena().size());
+  common::Status audit = r.AuditInvariants();
+  ExpectViolation(audit, "words of its arena");
+  ExpectViolation(audit, "indexes 3 postings for 4 rows");
+}
+
+TEST(RelationAuditTest, DetectsPostingListPastItsCapacity) {
+  ValueDictionary dict;
+  Relation r = MakeIndexedRelation(&dict);
+  IdPostingMap& index = RelationCorruptor::Postings(r, 1);
+  IdPostingMap::Range& range =
+      RelationCorruptor::RangeOf(index, RelationCorruptor::Id(r, Value(2)));
+  range.size = range.capacity + 1;
+  ExpectViolation(r.AuditInvariants(), "3 positions in a capacity of 2");
 }
 
 TEST(RelationAuditTest, DetectsMembershipPointingAtWrongRow) {
@@ -317,6 +370,167 @@ TEST_P(RelationMembershipTest, MatchesASetReferenceUnderRandomEdits) {
 INSTANTIATE_TEST_SUITE_P(Arities, RelationMembershipTest,
                          ::testing::Values(1, 2, 5, 8));
 
+// A posting map and the vector-of-vectors reference it must equal, edited
+// in lockstep. Key k is the inline int k; ref[k] is its list.
+struct PostingTwin {
+  IdPostingMap map;
+  std::vector<std::vector<uint32_t>> ref;
+};
+
+// What the randomized posting-map test must have exercised.
+struct PostingCoverage {
+  size_t relocations = 0;   // an Append moved a full list to the arena end
+  size_t compactions = 0;   // the dead space was packed away
+  size_t emptied_keys = 0;  // a Remove erased a key with its last position
+  size_t readded_keys = 0;  // an Append re-created an erased key
+};
+
+class IdPostingMapTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kKeys = 24;
+
+  // One random edit of `twin`, checked against its reference: an Append
+  // with probability `append_bias`, else a Remove, a Repoint, or a Remove
+  // or Repoint of a position the list does not hold.
+  void Step(PostingTwin* twin, common::Rng* rng, double append_bias,
+            PostingCoverage* coverage) {
+    IdPostingMap& map = twin->map;
+    const size_t k = rng->Index(kKeys);
+    const ValueId key = MakeInlineInt(static_cast<int64_t>(k));
+    std::vector<uint32_t>& list = twin->ref[k];
+    const size_t dead_before = map.dead();
+    if (rng->Chance(append_bias)) {
+      if (list.empty() && erased_[k]) ++coverage->readded_keys;
+      map.Append(key, next_pos_);
+      list.push_back(next_pos_++);
+      // Only a relocation adds dead space on an Append.
+      if (map.dead() > dead_before) ++coverage->relocations;
+    } else if (list.empty() || rng->Chance(0.1)) {
+      // A position no list holds: nothing changes.
+      EXPECT_FALSE(map.Remove(key, next_pos_));
+      EXPECT_FALSE(map.Repoint(key, next_pos_, 0));
+    } else if (rng->Chance(0.7)) {
+      size_t i = rng->Index(list.size());
+      ASSERT_TRUE(map.Remove(key, list[i]));
+      list[i] = list.back();
+      list.pop_back();
+      if (list.empty()) {
+        erased_[k] = true;
+        ++coverage->emptied_keys;
+      }
+    } else {
+      size_t i = rng->Index(list.size());
+      ASSERT_TRUE(map.Repoint(key, list[i], next_pos_));
+      list[i] = next_pos_++;
+    }
+    if (map.dead() < dead_before) ++coverage->compactions;
+  }
+
+  // Every list equals its reference, and the layout is sound: ranges
+  // inside the arena, at most their capacity, disjoint, and the arena
+  // is the ranges plus the dead words, which never exceed the live ones.
+  static void ExpectMatches(const PostingTwin& twin) {
+    const IdPostingMap& map = twin.map;
+    size_t keys = 0;
+    size_t live = 0;
+    for (size_t k = 0; k < kKeys; ++k) {
+      const ValueId key = MakeInlineInt(static_cast<int64_t>(k));
+      std::span<const uint32_t> got = map.Find(key);
+      ASSERT_TRUE(std::ranges::equal(got, twin.ref[k])) << "key " << k;
+      keys += twin.ref[k].empty() ? 0 : 1;
+      live += twin.ref[k].size();
+    }
+    ASSERT_EQ(map.size(), keys);
+    std::vector<IdPostingMap::Range> ranges;
+    for (const IdPostingMap::Range& r : map.slots()) {
+      if (r.key != kInvalidId) ranges.push_back(r);
+    }
+    ASSERT_EQ(ranges.size(), keys);
+    std::sort(ranges.begin(), ranges.end(),
+              [](const IdPostingMap::Range& a, const IdPostingMap::Range& b) {
+                return a.begin < b.begin;
+              });
+    size_t covered = 0;
+    for (size_t i = 0; i < ranges.size(); ++i) {
+      const IdPostingMap::Range& r = ranges[i];
+      ASSERT_LE(r.size, r.capacity);
+      ASSERT_LE(size_t{r.begin} + r.capacity, map.arena().size());
+      if (i + 1 < ranges.size()) {
+        ASSERT_LE(size_t{r.begin} + r.capacity, ranges[i + 1].begin);
+      }
+      covered += r.capacity;
+    }
+    EXPECT_EQ(covered + map.dead(), map.arena().size());
+    EXPECT_LE(map.dead(), live);
+  }
+
+  std::vector<bool> erased_ = std::vector<bool>(kKeys, false);
+  uint32_t next_pos_ = 0;
+};
+
+TEST_F(IdPostingMapTest, MatchesAVectorReferenceUnderRandomEdits) {
+  common::Rng rng(20150531);
+  PostingCoverage coverage;
+  constexpr size_t kCheckEvery = 5;
+
+  // Build over random rows: each list in row order.
+  std::vector<ITuple> rows;
+  PostingTwin twin{IdPostingMap(), std::vector<std::vector<uint32_t>>(kKeys)};
+  for (; next_pos_ < 150; ++next_pos_) {
+    size_t k = rng.Index(kKeys);
+    rows.push_back({MakeInlineInt(7), MakeInlineInt(static_cast<int64_t>(k))});
+    twin.ref[k].push_back(next_pos_);
+  }
+  twin.map.Build(rows, 1);
+  ExpectMatches(twin);
+  EXPECT_EQ(twin.map.arena().size(), rows.size());
+
+  // Mixed edits, then a shrinking phase that empties keys and a growing
+  // one that re-adds them.
+  for (double bias : {0.5, 0.2, 0.8, 0.15, 0.7, 0.35}) {
+    for (size_t step = 0; step < 1200; ++step) {
+      Step(&twin, &rng, bias, &coverage);
+      if (::testing::Test::HasFatalFailure()) return;
+      if (step % kCheckEvery == 0) ExpectMatches(twin);
+    }
+  }
+
+  // A copy is a separate map: edit both apart.
+  PostingTwin copy = twin;
+  EXPECT_TRUE(copy.map == twin.map);
+  common::Rng copy_rng = rng.Fork();
+  for (size_t step = 0; step < 1500; ++step) {
+    Step(&twin, &rng, 0.6, &coverage);
+    Step(&copy, &copy_rng, 0.4, &coverage);
+    if (::testing::Test::HasFatalFailure()) return;
+    if (step % kCheckEvery == 0) {
+      ExpectMatches(twin);
+      ExpectMatches(copy);
+    }
+  }
+  EXPECT_FALSE(copy.map == twin.map);
+
+  // Drain both: the last Remove leaves an empty arena.
+  for (PostingTwin* drained : {&twin, &copy}) {
+    for (size_t step = 0; step < 100000 && !drained->map.empty(); ++step) {
+      Step(drained, &rng, 0.0, &coverage);
+      if (::testing::Test::HasFatalFailure()) return;
+      if (step % kCheckEvery == 0) ExpectMatches(*drained);
+    }
+    ExpectMatches(*drained);
+    EXPECT_TRUE(drained->map.empty());
+    EXPECT_TRUE(drained->map.arena().empty());
+  }
+  SCOPED_TRACE("relocations=" + std::to_string(coverage.relocations) +
+               " compactions=" + std::to_string(coverage.compactions) +
+               " emptied=" + std::to_string(coverage.emptied_keys) +
+               " readded=" + std::to_string(coverage.readded_keys));
+  EXPECT_GT(coverage.relocations, 100u);
+  EXPECT_GT(coverage.compactions, 5u);
+  EXPECT_GT(coverage.emptied_keys, 30u);
+  EXPECT_GT(coverage.readded_keys, 20u);
+}
+
 TEST(DatabaseAuditTest, PrefixesViolationsWithTheRelationName) {
   Catalog catalog;
   RelationId r = *catalog.AddRelation("Player", {"name", "team"});
@@ -340,9 +554,11 @@ TEST(DatabaseAuditTest, PrefixesViolationsWithTheRelationName) {
 namespace qoco::query {
 
 // Friend of IncrementalView / IncrementalUnionView (incremental_view.h):
-// reaches the cached EvalResult to seed maintenance-bug lookalikes.
+// reaches the maintained answers to seed maintenance-bug lookalikes.
 struct IncrementalViewCorruptor {
-  static EvalResult& Result(IncrementalView& view) { return view.result_; }
+  static std::vector<ViewAnswer>& Answers(IncrementalView& view) {
+    return view.answers_;
+  }
   static std::vector<IncrementalView>& Views(IncrementalUnionView& view) {
     return view.views_;
   }
@@ -388,7 +604,7 @@ class IncrementalViewAuditTest : public ::testing::Test {
 
 TEST_F(IncrementalViewAuditTest, CleanViewPassesAfterDeltas) {
   IncrementalView view(Parse("(a) :- R(a, b), S(b)."), db_.get());
-  ASSERT_EQ(view.result().size(), 2u);
+  ASSERT_EQ(view.size(), 2u);
   EXPECT_TRUE(view.AuditInvariants().ok());
 
   Fact f{s_, {Value("y")}};
@@ -402,32 +618,31 @@ TEST_F(IncrementalViewAuditTest, CleanViewPassesAfterDeltas) {
 
 TEST_F(IncrementalViewAuditTest, DetectsDroppedAnswer) {
   IncrementalView view(Parse("(a) :- R(a, b), S(b)."), db_.get());
-  EvalResult& cached = IncrementalViewCorruptor::Result(view);
-  ASSERT_TRUE(cached.Remove(Tuple{Value("w")}));
+  std::vector<ViewAnswer>& answers = IncrementalViewCorruptor::Answers(view);
+  auto w = std::find_if(answers.begin(), answers.end(),
+                        [](const ViewAnswer& a) {
+                          return a.tuple == Tuple{Value("w")};
+                        });
+  ASSERT_NE(w, answers.end());
+  answers.erase(w);
   ExpectViolation(view.AuditInvariants(), "is missing from the view");
 }
 
 TEST_F(IncrementalViewAuditTest, DetectsAnswerThatSurvivedGcEmpty) {
   IncrementalView view(Parse("(a) :- R(a, b), S(b)."), db_.get());
-  EvalResult& cached = IncrementalViewCorruptor::Result(view);
-  cached.mutable_answers()[0].witnesses.clear();
+  IncrementalViewCorruptor::Answers(view)[0].witnesses =
+      std::make_shared<const provenance::WitnessSet>();
   ExpectViolation(view.AuditInvariants(), "has no witnesses");
-}
-
-TEST_F(IncrementalViewAuditTest, DetectsCachedAssignment) {
-  IncrementalView view(Parse("(a) :- R(a, b), S(b)."), db_.get());
-  EvalResult& cached = IncrementalViewCorruptor::Result(view);
-  cached.mutable_answers()[0].assignments.push_back(
-      Assignment(view.query().num_vars(), &db_->dict()));
-  ExpectViolation(view.AuditInvariants(), "caches 1 assignments");
 }
 
 TEST_F(IncrementalViewAuditTest, DetectsPhantomWitnessOverAbsentFact) {
   IncrementalView view(Parse("(a) :- R(a, b), S(b)."), db_.get());
-  EvalResult& cached = IncrementalViewCorruptor::Result(view);
-  provenance::Witness phantom(
-      std::vector<Fact>{Fact{s_, {Value("never-inserted")}}}, &db_->dict());
-  cached.mutable_answers()[0].witnesses.push_back(std::move(phantom));
+  ViewAnswer& answer = IncrementalViewCorruptor::Answers(view)[0];
+  provenance::WitnessSet edited = *answer.witnesses;
+  edited.push_back(provenance::Witness(
+      std::vector<Fact>{Fact{s_, {Value("never-inserted")}}}, &db_->dict()));
+  answer.witnesses =
+      std::make_shared<const provenance::WitnessSet>(std::move(edited));
   ExpectViolation(view.AuditInvariants(), "absent fact");
 }
 
@@ -448,9 +663,10 @@ TEST_F(IncrementalViewAuditTest, UnionAuditNamesTheCorruptedDisjunct) {
 
   std::vector<IncrementalView>& views = IncrementalViewCorruptor::Views(view);
   ASSERT_EQ(views.size(), 2u);
-  EvalResult& cached = IncrementalViewCorruptor::Result(views[1]);
-  ASSERT_FALSE(cached.mutable_answers().empty());
-  cached.mutable_answers()[0].witnesses.clear();
+  std::vector<ViewAnswer>& answers =
+      IncrementalViewCorruptor::Answers(views[1]);
+  ASSERT_FALSE(answers.empty());
+  answers[0].witnesses = std::make_shared<const provenance::WitnessSet>();
   common::Status audit = view.AuditInvariants();
   ExpectViolation(audit, "disjunct 1");
   EXPECT_EQ(audit.message().find("disjunct 0"), std::string::npos);

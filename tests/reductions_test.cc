@@ -2,7 +2,7 @@
 // 4.2 and 5.2: the reductions produce instances whose cleaning behaviour
 // corresponds exactly to the source combinatorial problem.
 
-#include "src/cleaning/reductions.h"
+#include "tests/reductions.h"
 
 #include <gtest/gtest.h>
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <unordered_set>
 
 #include "src/relational/database.h"
@@ -81,29 +82,38 @@ TEST(RelationTest, EraseWithSwapRemoveKeepsMembershipConsistent) {
   EXPECT_TRUE(r.empty());
 }
 
+/// Rows of `r` whose `column` holds `v`, probed through RowsWithId; a value
+/// the dictionary never interned is in no row.
+size_t RowsWith(const Relation& r, size_t column, const Value& v) {
+  std::optional<ValueId> id = r.dict().Find(v);
+  return id.has_value() ? r.RowsWithId(column, *id).size() : 0;
+}
+
 TEST(RelationTest, ColumnIndexFindsRows) {
   ValueDictionary dict;
   Relation r(2, &dict);
   ASSERT_TRUE(r.Insert({Value("a"), Value(1)}));
   ASSERT_TRUE(r.Insert({Value("a"), Value(2)}));
   ASSERT_TRUE(r.Insert({Value("b"), Value(3)}));
-  EXPECT_EQ(r.RowsWithValue(0, Value("a")).size(), 2u);
-  EXPECT_EQ(r.RowsWithValue(0, Value("b")).size(), 1u);
-  EXPECT_EQ(r.RowsWithValue(0, Value("zzz")).size(), 0u);
-  EXPECT_EQ(r.RowsWithValue(1, Value(2)).size(), 1u);
+  EXPECT_EQ(RowsWith(r, 0, Value("a")), 2u);
+  EXPECT_EQ(RowsWith(r, 0, Value("b")), 1u);
+  EXPECT_EQ(RowsWith(r, 0, Value("zzz")), 0u);
+  EXPECT_EQ(RowsWith(r, 1, Value(2)), 1u);
+  // An interned value no row of the column holds.
+  EXPECT_EQ(RowsWith(r, 1, Value("a")), 0u);
 }
 
 TEST(RelationTest, IndexInvalidatedByMutation) {
   ValueDictionary dict;
   Relation r(1, &dict);
   ASSERT_TRUE(r.Insert({Value("x")}));
-  EXPECT_EQ(r.RowsWithValue(0, Value("x")).size(), 1u);
+  EXPECT_EQ(RowsWith(r, 0, Value("x")), 1u);
   ASSERT_TRUE(r.Erase({Value("x")}));
-  EXPECT_EQ(r.RowsWithValue(0, Value("x")).size(), 0u);
+  EXPECT_EQ(RowsWith(r, 0, Value("x")), 0u);
   ASSERT_TRUE(r.Insert({Value("x")}));
   ASSERT_TRUE(r.Insert({Value("y")}));
-  EXPECT_EQ(r.RowsWithValue(0, Value("x")).size(), 1u);
-  EXPECT_EQ(r.RowsWithValue(0, Value("y")).size(), 1u);
+  EXPECT_EQ(RowsWith(r, 0, Value("x")), 1u);
+  EXPECT_EQ(RowsWith(r, 0, Value("y")), 1u);
 }
 
 TEST(RelationTest, ColumnDomainSortedDistinct) {

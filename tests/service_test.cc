@@ -645,11 +645,15 @@ TEST_F(ServiceTest, CrossSessionDedupPinsTranscriptsAndQuestionCount) {
   }
   ASSERT_FALSE(distinct_sigs.empty());
 
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
+  // Width 0 builds ThreadPool(0), which reads its width from QOCO_THREADS
+  // (else the hardware), so the loop branches on the resolved width.
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}, size_t{0}}) {
     ServiceStack st(*s_, threads);
+    const size_t width = st.pool.num_threads();
+    SCOPED_TRACE("threads=" + std::to_string(threads) +
+                 " width=" + std::to_string(width));
     ScheduleDriver driver(&st.clock);
-    if (threads > 1) {
+    if (width > 1) {
       // Real concurrency: 1-tick oracle latency so sessions genuinely
       // overlap and park; the driver releases time step by step.
       st.oracle.set_script([](const Question&, size_t) {
@@ -664,7 +668,7 @@ TEST_F(ServiceTest, CrossSessionDedupPinsTranscriptsAndQuestionCount) {
       ASSERT_TRUE(id.ok()) << id.status().ToString();
       ids.push_back(*id);
     }
-    if (threads > 1) {
+    if (width > 1) {
       ASSERT_TRUE(driver.Drive()) << "schedule deadlocked";
     }
     st.manager.WaitIdle();
@@ -1006,11 +1010,15 @@ TEST_F(ServiceTest, FinishedSessionsFreeTheirDatabasesAndHandOverOnce) {
     first_views.insert(q->Signature());
   }
 
-  for (size_t threads : {size_t{1}, size_t{2}}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
+  // Width 0 builds ThreadPool(0), which reads its width from QOCO_THREADS
+  // (else the hardware), so the loop branches on the resolved width.
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{0}}) {
     ServiceStack st(*s_, threads);
+    const size_t width = st.pool.num_threads();
+    SCOPED_TRACE("threads=" + std::to_string(threads) +
+                 " width=" + std::to_string(width));
     ScheduleDriver driver(&st.clock);
-    if (threads > 1) {
+    if (width > 1) {
       st.oracle.set_script(
           [](const Question&, size_t) { return OracleBehavior{.latency = 1}; });
       driver.Attach(&st.broker, &st.manager);
@@ -1030,7 +1038,7 @@ TEST_F(ServiceTest, FinishedSessionsFreeTheirDatabasesAndHandOverOnce) {
         reference.push_back(
             RunDirect(i % 2 == 0 ? *s_->dirty : at_head, specs[i], &oracle));
       }
-      if (threads > 1) driver.AddLive(specs.size());
+      if (width > 1) driver.AddLive(specs.size());
       std::vector<SessionId> ids;
       for (size_t i = 0; i < specs.size(); ++i) {
         SessionSpec spec = specs[i];
@@ -1040,12 +1048,12 @@ TEST_F(ServiceTest, FinishedSessionsFreeTheirDatabasesAndHandOverOnce) {
         auto id = st.manager.Submit(std::move(spec));
         ASSERT_TRUE(id.ok()) << id.status().ToString();
         ids.push_back(*id);
-        if (threads == 1) {
+        if (width == 1) {
           // Inline, the session ran inside Submit, which then freed it.
           EXPECT_EQ(st.manager.PrivateDatabases(), 0u);
         }
       }
-      if (threads > 1) {
+      if (width > 1) {
         // No session can finish before the driver lets time pass.
         EXPECT_EQ(st.manager.PrivateDatabases(), specs.size());
         ASSERT_TRUE(driver.Drive());
@@ -1068,7 +1076,7 @@ TEST_F(ServiceTest, FinishedSessionsFreeTheirDatabasesAndHandOverOnce) {
       EXPECT_GE(st.manager.ViewSeeds(), 1u);
       EXPECT_LE(st.manager.ViewSeeds(), first_views.size());
     }
-    if (threads == 1) {
+    if (width == 1) {
       // Inline, sessions run in submission order, and from the second
       // cycle on each cycle's first head reader publishes a seed for the
       // new head that the cycle's other head readers adopt.
@@ -1107,10 +1115,15 @@ TEST_F(ServiceTest, SessionsSharingAViewSeedMatchTheirSoloRuns) {
   }
 
   for (bool at_head : {false, true}) {
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-      SCOPED_TRACE(std::string(at_head ? "head" : "base") +
-                   " threads=" + std::to_string(threads));
+    // Width 0 builds ThreadPool(0), which reads its width from
+    // QOCO_THREADS (else the hardware), so the loop branches on the
+    // resolved width.
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}, size_t{0}}) {
       ServiceStack st(&base, data->ground_truth.get(), threads);
+      const size_t width = st.pool.num_threads();
+      SCOPED_TRACE(std::string(at_head ? "head" : "base") +
+                   " threads=" + std::to_string(threads) +
+                   " width=" + std::to_string(width));
       relational::JournalSnapshot snapshot;
       relational::Database from = base;
       if (at_head) {
@@ -1155,7 +1168,7 @@ TEST_F(ServiceTest, SessionsSharingAViewSeedMatchTheirSoloRuns) {
       EXPECT_EQ(st.manager.ViewSeeds(), at_head ? kViews + 1 : kViews);
       const size_t adopted = st.manager.ViewSeedAdoptions() - adopted_before;
       EXPECT_LE(adopted, specs.size() - kViews);
-      if (threads == 1) {
+      if (width == 1) {
         // Inline, the first session of each view makes the seed and the
         // rest of its group adopts it.
         EXPECT_EQ(adopted, specs.size() - kViews);
