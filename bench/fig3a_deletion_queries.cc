@@ -52,7 +52,8 @@ int main() {
         return 1;
       }
       exp::BarRow row;
-      row.group = "Q" + std::to_string(qi);
+      row.group = "Q";
+      row.group += std::to_string(qi);
       row.algorithm = cleaning::DeletionPolicyName(policy);
       row.lower = r->verify_answer;
       row.questions = r->verify_fact;

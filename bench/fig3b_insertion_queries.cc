@@ -52,7 +52,8 @@ int main() {
         return 1;
       }
       exp::BarRow row;
-      row.group = "Q" + std::to_string(qi);
+      row.group = "Q";
+      row.group += std::to_string(qi);
       row.algorithm = cleaning::SplitStrategyName(strategy);
       row.lower = static_cast<double>(planted->missing.size());
       row.questions = r->filled_vars;

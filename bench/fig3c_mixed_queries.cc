@@ -53,7 +53,8 @@ int main() {
         return 1;
       }
       exp::BarRow row;
-      row.group = "Q" + std::to_string(qi);
+      row.group = "Q";
+      row.group += std::to_string(qi);
       row.algorithm = cleaning::DeletionPolicyName(policy);
       row.lower = r->verify_answer +
                   static_cast<double>(planted->missing.size());

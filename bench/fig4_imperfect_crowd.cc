@@ -59,7 +59,8 @@ int main() {
         return 1;
       }
       exp::TypedRow row;
-      row.group = "Q" + std::to_string(qi);
+      row.group = "Q";
+      row.group += std::to_string(qi);
       row.algorithm = cleaning::DeletionPolicyName(policy);
       // Figure 4 counts individual member answers; apportion them by the
       // share each question type contributed.

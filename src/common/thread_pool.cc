@@ -28,12 +28,11 @@ ThreadPool::ThreadPool(size_t num_threads) {
   num_threads_ = ResolveNumThreads(num_threads);
   if (num_threads_ <= 1) {
     num_threads_ = 1;
-    return;  // Inline pool: no queues, no workers.
+    return;  // Inline pool: no workers.
   }
-  queues_.resize(num_threads_);
   workers_.reserve(num_threads_);
   for (size_t i = 0; i < num_threads_; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -63,9 +62,7 @@ Status ThreadPool::Submit(std::function<void()> task) {
           "work");
     }
     if (!workers_.empty()) {
-      queues_[next_queue_].tasks.push_back(std::move(task));
-      next_queue_ = (next_queue_ + 1) % queues_.size();
-      ++pending_;
+      queue_.push_back(std::move(task));
       ++submitted_total_;
       wake_cv_.notify_one();
       return Status::OK();
@@ -81,56 +78,29 @@ Status ThreadPool::Submit(std::function<void()> task) {
   return Status::OK();
 }
 
-std::function<void()> ThreadPool::PopTaskLocked(size_t self) {
-  // Own deque first, from the front (FIFO for fairness of Submit order)...
-  std::deque<std::function<void()>>& own = queues_[self].tasks;
-  std::function<void()> task;
-  if (!own.empty()) {
-    task = std::move(own.front());
-    own.pop_front();
-  } else {
-    // ...then steal from the back of the first non-empty victim.
-    for (size_t step = 1; step < queues_.size(); ++step) {
-      std::deque<std::function<void()>>& victim =
-          queues_[(self + step) % queues_.size()].tasks;
-      if (victim.empty()) continue;
-      task = std::move(victim.back());
-      victim.pop_back();
-      break;
-    }
-  }
-  if (task) {
-    --pending_;
-    ++running_;
-  }
-  return task;
-}
-
-void ThreadPool::WorkerLoop(size_t self) {
+void ThreadPool::WorkerLoop() {
   MutexLock lk(wake_mu_);
   for (;;) {
     // Explicit wait loop (not the predicate overload): the predicate reads
     // guarded members, and a plain loop keeps those reads visibly inside
     // the locked region for clang's thread-safety analysis.
-    while (!shutdown_ && pending_ == 0) wake_cv_.wait(lk);
-    if (pending_ == 0) {
-      if (shutdown_) return;  // Drained; exit only once nothing is queued.
-      continue;
-    }
-    std::function<void()> task = PopTaskLocked(self);
-    if (!task) continue;  // Another worker won the race.
+    while (!shutdown_ && queue_.empty()) wake_cv_.wait(lk);
+    if (queue_.empty()) return;  // Shut down and drained.
+    std::function<void()> task = std::move(queue_.front());
+    queue_.pop_front();
+    ++running_;
     lk.unlock();
     task();
     lk.lock();
     --running_;
     ++completed_total_;
-    if (pending_ == 0 && running_ == 0) done_cv_.notify_all();
+    if (queue_.empty() && running_ == 0) done_cv_.notify_all();
   }
 }
 
 void ThreadPool::Wait() {
   MutexLock lk(wake_mu_);
-  while (pending_ != 0 || running_ != 0) done_cv_.wait(lk);
+  while (!queue_.empty() || running_ != 0) done_cv_.wait(lk);
 }
 
 void ThreadPool::Shutdown() {
@@ -151,29 +121,16 @@ Status ThreadPool::AuditInvariants() const {
   MutexLock lk(wake_mu_);
   InvariantAuditor audit("common::ThreadPool");
 
-  size_t queued = 0;
-  for (const WorkerQueue& q : queues_) queued += q.tasks.size();
-  if (queued != pending_) {
-    audit.Violation() << "pending counter is " << pending_ << " but queues "
-                      << "hold " << queued << " task(s)";
-  }
-  if (completed_total_ + running_ + pending_ != submitted_total_) {
+  if (completed_total_ + running_ + queue_.size() != submitted_total_) {
     audit.Violation() << "task accounting leaks: submitted="
                       << submitted_total_ << " != completed="
                       << completed_total_ << " + running=" << running_
-                      << " + pending=" << pending_;
+                      << " + queued=" << queue_.size();
   }
-  if (running_ > workers_.size()) {
-    audit.Violation() << running_ << " task(s) marked running on "
-                      << workers_.size() << " worker(s)";
-  }
-  if (shutdown_ && pending_ != 0) {
-    audit.Violation() << "shut-down pool still holds " << pending_
+  if ((shutdown_ || workers_.empty()) && !queue_.empty()) {
+    audit.Violation() << (shutdown_ ? "shut-down" : "inline")
+                      << " pool still holds " << queue_.size()
                       << " queued task(s)";
-  }
-  if (workers_.empty() && !shutdown_ && pending_ != 0) {
-    audit.Violation() << "inline pool reports " << pending_
-                      << " pending task(s)";
   }
   return audit.Finish();
 }

@@ -43,10 +43,10 @@ class Notification {
   bool notified_ QOCO_GUARDED_BY(mu_) = false;
 };
 
-/// Fixed-size work-stealing thread pool. It runs whole cleaning sessions
-/// side by side in the service (src/service/session_manager.h) and
-/// dispatches blocking crowd calls (crowd::BlockingOracleAdapter); a single
-/// session never fans out onto it (DESIGN.md §Concurrency).
+/// Fixed-size thread pool with one FIFO queue. In the library it runs
+/// whole cleaning sessions side by side in the service
+/// (src/service/session_manager.h) and nothing else; a single session never
+/// fans out onto it (DESIGN.md §Concurrency).
 ///
 /// Design contract:
 ///
@@ -55,10 +55,9 @@ class Notification {
 ///     spawns no worker threads at all: Submit runs the task inline on the
 ///     caller. Code written against the pool never needs a separate serial
 ///     code path.
-///  2. **Work stealing.** Each worker owns a deque; Submit round-robins
-///     tasks across deques; a worker pops its own deque from the front and,
-///     when empty, steals from the back of a victim's. A long-running task
-///     therefore never strands the work queued behind it.
+///  2. **One FIFO queue.** Every idle worker pops the oldest queued task,
+///     so tasks start in Submit order and a long-running task never
+///     strands the work queued behind it.
 ///
 /// Submitted tasks must not throw.
 ///
@@ -90,10 +89,10 @@ class ThreadPool {
   void Shutdown();
 
   /// Deep audit of the pool's scheduling accounting: queued + running +
-  /// completed tasks must add up to submitted tasks, no queue may hold work
-  /// after shutdown, and an inline pool must have nothing queued. Takes
-  /// every queue lock (the pool may be concurrently active). Returns OK or
-  /// kInternal listing every violation.
+  /// completed tasks must add up to submitted tasks, and a shut-down or
+  /// inline pool must have nothing queued. Takes the pool's lock (the pool
+  /// may be concurrently active). Returns OK or kInternal listing every
+  /// violation.
   Status AuditInvariants() const;
 
   /// Resolves a requested thread count: `requested > 0` wins; otherwise the
@@ -106,39 +105,21 @@ class ThreadPool {
   // the effect of a torn/lost counter update (tests/thread_pool_test.cc).
   friend struct ThreadPoolCorruptor;
 
-  /// One worker's deque. Own work is popped from the front; thieves take
-  /// from the back, so a victim and its thief touch opposite ends. All
-  /// queue access happens under wake_mu_: tasks are coarse (a whole
-  /// session or a blocking crowd call per pop), so what stealing buys here
-  /// is the scheduling *discipline* — a long task never strands the work
-  /// queued behind it — not lock sharding; one mutex keeps the sleep/wake
-  /// and accounting protocol free of lost-notify windows by construction.
-  struct WorkerQueue {
-    std::deque<std::function<void()>> tasks;
-  };
-
-  /// Pops own front / steals a victim's back and moves the unit from
-  /// pending to running. Returns an empty function when every queue is
-  /// empty.
-  std::function<void()> PopTaskLocked(size_t self) QOCO_REQUIRES(wake_mu_);
-
-  void WorkerLoop(size_t self);
+  void WorkerLoop();
 
   size_t num_threads_ = 1;
   /// Immutable once the constructor returns (joined threads stay in the
   /// vector, non-joinable), so emptiness/size reads need no lock.
   std::vector<std::thread> workers_;
 
-  /// Scheduling state shared by producers and workers. `pending_` counts
-  /// tasks sitting in queues, `running_` tasks popped but not finished;
-  /// every annotated member is guarded by wake_mu_ (checked by clang
-  /// -Wthread-safety and qoco-analyze rule `guarded-by`).
+  /// Scheduling state shared by producers and workers. `queue_` holds the
+  /// tasks not yet started, oldest first; `running_` counts tasks popped
+  /// but not finished. Every annotated member is guarded by wake_mu_
+  /// (checked by clang -Wthread-safety and qoco-analyze rule `guarded-by`).
   mutable Mutex wake_mu_;
   std::condition_variable_any wake_cv_;  // workers: work available / shutdown
   std::condition_variable_any done_cv_;  // Wait(): everything drained
-  std::vector<WorkerQueue> queues_ QOCO_GUARDED_BY(wake_mu_);
-  size_t next_queue_ QOCO_GUARDED_BY(wake_mu_) = 0;  // Submit round-robin.
-  size_t pending_ QOCO_GUARDED_BY(wake_mu_) = 0;
+  std::deque<std::function<void()>> queue_ QOCO_GUARDED_BY(wake_mu_);
   size_t running_ QOCO_GUARDED_BY(wake_mu_) = 0;
   uint64_t submitted_total_ QOCO_GUARDED_BY(wake_mu_) = 0;
   uint64_t completed_total_ QOCO_GUARDED_BY(wake_mu_) = 0;

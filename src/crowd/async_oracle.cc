@@ -175,15 +175,4 @@ Answer AskOracleBlocking(Oracle* oracle, const Question& q) {
   return a;
 }
 
-void BlockingOracleAdapter::Ask(const Question& q, Completion done) {
-  if (dispatch_ == nullptr) {
-    done(AskOracleBlocking(inner_, q));
-    return;
-  }
-  Oracle* inner = inner_;
-  common::Status submitted = dispatch_->Submit(
-      [inner, q, done] { done(AskOracleBlocking(inner, q)); });
-  if (!submitted.ok()) done(submitted);
-}
-
 }  // namespace qoco::crowd

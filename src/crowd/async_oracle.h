@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/common/thread_pool.h"
 #include "src/crowd/oracle.h"
 
 namespace qoco::crowd {
@@ -87,25 +86,6 @@ class AsyncOracle {
   virtual ~AsyncOracle() = default;
 
   virtual void Ask(const Question& q, Completion done) = 0;
-};
-
-/// Adapts a blocking Oracle to the async interface. With a dispatch pool
-/// the blocking call runs on a pool worker and `done` fires from that
-/// worker (questions in flight concurrently = pool width); without one the
-/// call runs inline and `done` fires before Ask returns. The inner oracle
-/// must be thread-safe if the pool has more than one worker (SimulatedOracle
-/// and stateless ImperfectOracle are: they only read the ground truth).
-class BlockingOracleAdapter : public AsyncOracle {
- public:
-  explicit BlockingOracleAdapter(Oracle* inner,
-                                 common::ThreadPool* dispatch = nullptr)
-      : inner_(inner), dispatch_(dispatch) {}
-
-  void Ask(const Question& q, Completion done) override;
-
- private:
-  Oracle* inner_;
-  common::ThreadPool* dispatch_;
 };
 
 }  // namespace qoco::crowd

@@ -1,7 +1,6 @@
 #include "src/graph/graph.h"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 
 namespace qoco::graph {
@@ -10,34 +9,6 @@ void WeightedGraph::AddEdge(size_t u, size_t v, int64_t weight) {
   if (u == v) return;
   weights_[u * n_ + v] += weight;
   weights_[v * n_ + u] += weight;
-}
-
-int64_t WeightedGraph::Degree(size_t v) const {
-  int64_t total = 0;
-  for (size_t u = 0; u < n_; ++u) total += weights_[v * n_ + u];
-  return total;
-}
-
-std::vector<size_t> WeightedGraph::Components() const {
-  std::vector<size_t> component(n_, static_cast<size_t>(-1));
-  size_t next_id = 0;
-  for (size_t start = 0; start < n_; ++start) {
-    if (component[start] != static_cast<size_t>(-1)) continue;
-    component[start] = next_id;
-    std::deque<size_t> queue{start};
-    while (!queue.empty()) {
-      size_t v = queue.front();
-      queue.pop_front();
-      for (size_t u = 0; u < n_; ++u) {
-        if (EdgeWeight(v, u) > 0 && component[u] == static_cast<size_t>(-1)) {
-          component[u] = next_id;
-          queue.push_back(u);
-        }
-      }
-    }
-    ++next_id;
-  }
-  return component;
 }
 
 Cut GlobalMinCut(const WeightedGraph& g) {
@@ -106,59 +77,6 @@ Cut GlobalMinCut(const WeightedGraph& g) {
     active.erase(std::find(active.begin(), active.end(), last));
   }
   return best;
-}
-
-Cut MinStCut(const WeightedGraph& g, size_t s, size_t t) {
-  size_t n = g.num_vertices();
-  // Residual capacities; undirected edge -> both directions.
-  std::vector<std::vector<int64_t>> cap(n, std::vector<int64_t>(n, 0));
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < n; ++j) cap[i][j] = g.EdgeWeight(i, j);
-  }
-  int64_t flow = 0;
-  while (true) {
-    // BFS for a shortest augmenting path.
-    std::vector<size_t> parent(n, static_cast<size_t>(-1));
-    parent[s] = s;
-    std::deque<size_t> queue{s};
-    while (!queue.empty() && parent[t] == static_cast<size_t>(-1)) {
-      size_t v = queue.front();
-      queue.pop_front();
-      for (size_t u = 0; u < n; ++u) {
-        if (cap[v][u] > 0 && parent[u] == static_cast<size_t>(-1)) {
-          parent[u] = v;
-          queue.push_back(u);
-        }
-      }
-    }
-    if (parent[t] == static_cast<size_t>(-1)) break;
-    int64_t bottleneck = std::numeric_limits<int64_t>::max();
-    for (size_t v = t; v != s; v = parent[v]) {
-      bottleneck = std::min(bottleneck, cap[parent[v]][v]);
-    }
-    for (size_t v = t; v != s; v = parent[v]) {
-      cap[parent[v]][v] -= bottleneck;
-      cap[v][parent[v]] += bottleneck;
-    }
-    flow += bottleneck;
-  }
-  Cut cut;
-  cut.weight = flow;
-  cut.side.assign(n, false);
-  // Source side: vertices reachable in the residual graph.
-  std::deque<size_t> queue{s};
-  cut.side[s] = true;
-  while (!queue.empty()) {
-    size_t v = queue.front();
-    queue.pop_front();
-    for (size_t u = 0; u < n; ++u) {
-      if (cap[v][u] > 0 && !cut.side[u]) {
-        cut.side[u] = true;
-        queue.push_back(u);
-      }
-    }
-  }
-  return cut;
 }
 
 }  // namespace qoco::graph

@@ -25,13 +25,6 @@ class WeightedGraph {
     return weights_[u * n_ + v];
   }
 
-  /// Sum of weights of edges incident to `v`.
-  int64_t Degree(size_t v) const;
-
-  /// Connected components considering only edges of positive weight;
-  /// returns a component id per vertex (ids are dense, in discovery order).
-  std::vector<size_t> Components() const;
-
  private:
   size_t n_;
   std::vector<int64_t> weights_;
@@ -48,11 +41,6 @@ struct Cut {
 /// O(V^3). Precondition: g has at least 2 vertices. If the graph is
 /// disconnected the returned cut has weight 0 and separates one component.
 Cut GlobalMinCut(const WeightedGraph& g);
-
-/// Computes the maximum flow / minimum s-t cut with Edmonds-Karp (the
-/// paper cites Edmonds & Karp [20] for its min-cut split). Returns the cut
-/// with side = vertices reachable from s in the residual graph.
-Cut MinStCut(const WeightedGraph& g, size_t s, size_t t);
 
 }  // namespace qoco::graph
 

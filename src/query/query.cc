@@ -23,7 +23,11 @@ std::string TermToString(const Term& term, const CQuery& q) {
 /// and quoted text finds where each constant ends. A constant holding none
 /// of the three characters keeps its bytes.
 std::string TermSignature(const Term& t) {
-  if (t.is_variable()) return "v" + std::to_string(t.var());
+  if (t.is_variable()) {
+    std::string key = "v";
+    key += std::to_string(t.var());
+    return key;
+  }
   std::string key = "c";
   for (char c : relational::EncodeCsvField(t.constant())) {
     if (c == '\\' || c == '!' || c == ';') key += '\\';
@@ -214,7 +218,9 @@ std::string CQuery::Signature() const {
   for (const Term& t : head_) sig += TermSignature(t) + ",";
   sig += ":-";
   for (const Atom& atom : atoms_) {
-    sig += "R" + std::to_string(atom.relation) + "(";
+    sig += "R";
+    sig += std::to_string(atom.relation);
+    sig += "(";
     for (const Term& t : atom.terms) sig += TermSignature(t) + ",";
     sig += ")";
   }

@@ -72,13 +72,4 @@ common::Status ReplayJournal(std::string_view journal, Database* db) {
   return common::Status::OK();
 }
 
-common::Result<Database> RecoverDatabase(const Catalog* catalog,
-                                         std::string_view snapshot_csv,
-                                         std::string_view journal) {
-  Database db(catalog);
-  QOCO_RETURN_NOT_OK(LoadDatabaseFromCsv(snapshot_csv, &db));
-  QOCO_RETURN_NOT_OK(ReplayJournal(journal, &db));
-  return db;
-}
-
 }  // namespace qoco::relational

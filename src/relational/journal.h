@@ -63,7 +63,7 @@ class EditJournal {
   const std::string& contents() const { return contents_; }
 
   /// Handle to the current end of the journal. Prefixes are immutable, so
-  /// the handle stays valid for the journal's lifetime (Clear invalidates).
+  /// the handle stays valid for the journal's lifetime.
   JournalSnapshot snapshot() const { return JournalSnapshot{contents_.size()}; }
 
   /// The journal prefix frozen by `snap`. Precondition: `snap` was taken
@@ -71,8 +71,6 @@ class EditJournal {
   std::string_view ContentsAt(JournalSnapshot snap) const {
     return std::string_view(contents_).substr(0, snap.bytes);
   }
-
-  void Clear() QOCO_COORDINATOR_ONLY { contents_.clear(); }
 
  private:
   std::string contents_;
@@ -84,12 +82,6 @@ class EditJournal {
 /// newline abort with ParseError; the database may then be partially
 /// replayed, as with a torn log.
 common::Status ReplayJournal(std::string_view journal, Database* db);
-
-/// Convenience recovery: loads the CSV snapshot into a fresh database over
-/// `catalog` and replays the journal on top.
-common::Result<Database> RecoverDatabase(const Catalog* catalog,
-                                         std::string_view snapshot_csv,
-                                         std::string_view journal);
 
 }  // namespace qoco::relational
 

@@ -6,11 +6,21 @@
 
 namespace qoco::relational {
 
+// GCC 12 misdiagnoses the std::variant move in push_back once InternInt
+// and InternDouble inline this (-Wmaybe-uninitialized, GCC PR105593; see
+// value.cc). Targeted suppression so the warning stays live elsewhere.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
 ValueId ValueDictionary::InternSlot(Value v) {
   uint32_t slot = static_cast<uint32_t>(slots_.size());
   slots_.push_back(std::move(v));
   return IdOfSlot(slot);
 }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 ValueId ValueDictionary::Intern(const Value& v) {
   if (v.is_null()) return kNullId;

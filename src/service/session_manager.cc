@@ -76,47 +76,30 @@ common::Result<SessionId> SessionManager::Admit(SessionSpec spec) {
   state->base_snapshot = spec.base_snapshot;
 
   SessionId id = 0;
-  bool launch = false;
   {
     common::MutexLock lk(mu_);
-    if (active_ >= limits_.max_active_sessions &&
-        queued_.size() >= limits_.max_queued_sessions) {
+    if (active_ >= limits_.max_sessions) {
       return common::Status::ResourceExhausted(
           "session service at capacity: " +
-          std::to_string(limits_.max_active_sessions) + " active, " +
-          std::to_string(limits_.max_queued_sessions) + " queued");
+          std::to_string(limits_.max_sessions) + " sessions active");
     }
     id = next_id_++;
     sessions_.emplace(id, std::move(state));
-    if (active_ < limits_.max_active_sessions) {
-      active_++;
-      launch = true;
-    } else {
-      queued_.push_back(id);
-    }
+    active_++;
   }
-  if (launch) {
-    // With an inline pool this runs the whole session before returning.
-    common::Status submitted = pool_->Submit([this, id] { RunWorker(id); });
-    std::optional<SessionId> failed =
-        submitted.ok() ? std::nullopt : std::optional<SessionId>(id);
-    while (failed.has_value()) {  // Pool shut down: fail the whole chain.
-      {
-        common::MutexLock lk(mu_);
-        sessions_.at(*failed)->result.status = submitted;
-      }
-      failed = FinishAndDequeue(*failed);
+  // With an inline pool this runs the whole session before returning.
+  common::Status submitted = pool_->Submit([this, id] {
+    RunOne(id);
+    Finish(id);
+  });
+  if (!submitted.ok()) {  // Pool shut down: the session fails unrun.
+    {
+      common::MutexLock lk(mu_);
+      sessions_.at(id)->result.status = submitted;
     }
+    Finish(id);
   }
   return id;
-}
-
-void SessionManager::RunWorker(SessionId first) {
-  std::optional<SessionId> id = first;
-  while (id.has_value()) {
-    RunOne(*id);
-    id = FinishAndDequeue(*id);
-  }
 }
 
 void SessionManager::RunOne(SessionId id) {
@@ -124,11 +107,11 @@ void SessionManager::RunOne(SessionId id) {
   {
     common::MutexLock lk(mu_);
     state = sessions_.at(id).get();
+    state->started = true;
     running_++;
   }
-  // Until FinishAndDequeue marks it done, `state` belongs to this worker
-  // alone (Wait readers block on done); the map's unique_ptr keeps its
-  // address stable.
+  // Until Finish marks it done, `state` belongs to this worker alone (Wait
+  // readers block on done); the map's unique_ptr keeps its address stable.
   BrokerOracle shim(broker_, id, state->scope);
   qoco::Session::Options options;
   options.cleaner = state->cleaner;
@@ -192,16 +175,16 @@ std::shared_ptr<const query::ViewSeed> SessionManager::SeedFor(
   return seed;
 }
 
-std::optional<SessionId> SessionManager::FinishAndDequeue(SessionId id) {
+void SessionManager::Finish(SessionId id) {
   std::function<void(SessionId)> observer;
-  std::optional<SessionId> next;
   {
     common::MutexLock lk(mu_);
     SessionState& state = *sessions_.at(id);
     state.done = true;
     // Freed by the coordinator's next Submit or Wait, never on a worker.
     retired_.push_back(std::move(state.db));
-    if (running_ > 0) running_--;
+    active_--;
+    if (state.started) running_--;
     // Failed sessions commit nothing, but still advance the frontier.
     pending_commits_[id] =
         state.result.status.ok() ? state.result.journal : std::string();
@@ -212,17 +195,10 @@ std::optional<SessionId> SessionManager::FinishAndDequeue(SessionId id) {
       pending_commits_.erase(it);
       next_commit_++;
     }
-    if (!queued_.empty()) {  // Slot reuse: keep draining on this worker.
-      next = queued_.front();
-      queued_.pop_front();
-    } else {
-      active_--;
-    }
     observer = finish_observer_;
     cv_.notify_all();
   }
   if (observer) observer(id);
-  return next;
 }
 
 common::Result<SessionResult> SessionManager::Wait(SessionId id) {
@@ -259,7 +235,7 @@ common::Result<SessionResult> SessionManager::Wait(SessionId id) {
 
 void SessionManager::WaitIdle() {
   common::MutexLock lk(mu_);
-  while (active_ > 0 || !queued_.empty()) cv_.wait(lk);
+  while (active_ > 0) cv_.wait(lk);
 }
 
 relational::JournalSnapshot SessionManager::JournalHead() const {
@@ -303,7 +279,7 @@ size_t SessionManager::ViewSeedAdoptions() const {
 
 size_t SessionManager::QueuedSessions() const {
   common::MutexLock lk(mu_);
-  return queued_.size();
+  return active_ - running_;
 }
 
 void SessionManager::SetFinishObserver(std::function<void(SessionId)> observer) {

@@ -3,7 +3,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -24,13 +23,11 @@
 
 namespace qoco::service {
 
-/// Admission-control knobs for the session service.
+/// Admission control for the session service.
 struct ServiceLimits {
-  /// Sessions running concurrently; further submissions queue.
-  size_t max_active_sessions = 64;
-  /// Queued (admitted, not yet running) sessions; beyond this Submit fails
-  /// with ResourceExhausted.
-  size_t max_queued_sessions = 1024;
+  /// Sessions admitted and not yet finished, whether running or waiting
+  /// for a pool worker; beyond this Submit fails with ResourceExhausted.
+  size_t max_sessions = 1088;
 };
 
 /// One client's cleaning request: an ordered list of view-cleaning steps
@@ -84,6 +81,12 @@ struct SessionResult {
 /// Multiplexes many concurrent cleaning sessions over one shared base
 /// database and one QuestionBroker.
 ///
+/// Scheduling: Submit hands every admitted session straight to the pool,
+/// whose one FIFO queue starts sessions in admission order as workers come
+/// free; the manager keeps no queue of its own. ServiceLimits::max_sessions
+/// bounds the sessions admitted and not yet finished. Results do not depend
+/// on start order (the determinism contract below).
+///
 /// Isolation model: at admission every session gets a private Database: an
 /// id-space copy of the base (rows, memberships and built indexes, no value
 /// re-encoded) with the commit-journal prefix named by its spec replayed on
@@ -135,13 +138,16 @@ class SessionManager {
   ~SessionManager();
 
   /// Admits one session: parses its queries, copies the base and replays
-  /// the commit journal up to spec.base_snapshot, and runs it (immediately,
-  /// or queued behind max_active_sessions). Fails fast — without creating a
+  /// the commit journal up to spec.base_snapshot, and hands it to the pool,
+  /// which starts it when a worker is free. Fails fast — without creating a
   /// session — on parse errors, an out-of-range snapshot, a journal prefix
-  /// that does not replay, or a full queue (ResourceExhausted). Call from
-  /// the coordinator thread only. Once the new session is on the pool (and
-  /// on every error return), frees the databases of sessions finished
-  /// since the last Submit or Wait.
+  /// that does not replay, or max_sessions sessions already active
+  /// (ResourceExhausted). If the pool refuses the session (it was shut
+  /// down), the session is created and fails without running: Wait returns
+  /// the pool's status with an empty journal. Call from the coordinator
+  /// thread only. Once the new session is on the pool (and on every error
+  /// return), frees the databases of sessions finished since the last
+  /// Submit or Wait.
   common::Result<SessionId> Submit(SessionSpec spec) QOCO_COORDINATOR_ONLY;
 
   /// Blocks until session `id` finishes and hands its result over, once:
@@ -161,7 +167,7 @@ class SessionManager {
   /// ReplayJournal's status instead of the result.
   common::Result<SessionResult> Wait(SessionId id);
 
-  /// Blocks until no session is active or queued.
+  /// Blocks until no session is active.
   void WaitIdle();
 
   /// Handle to the current end of the commit journal (pass as a later
@@ -172,7 +178,9 @@ class SessionManager {
   /// snapshot with relational::ReplayJournal).
   std::string CommitJournalContents() const;
 
+  /// Sessions admitted and not yet finished.
   size_t ActiveSessions() const;
+  /// Active sessions that have not started: waiting for a pool worker.
   size_t QueuedSessions() const;
 
   /// Sessions whose body is executing on a pool worker right now. At most
@@ -216,6 +224,9 @@ class SessionManager {
     // Private copy: the base plus the spec's journal prefix. Moved to
     // retired_ when the session finishes; null from then on.
     std::unique_ptr<relational::Database> db;
+    // Set when a worker starts the session; a session the pool refused
+    // finishes without starting.
+    bool started = false;
     bool done = false;
     // Moved out by the one Wait that erases this state, which also fills
     // its final_facts_csv.
@@ -232,10 +243,6 @@ class SessionManager {
   /// calling (coordinator) thread.
   void FreeRetired();
 
-  /// Pool worker body: runs `first`, then drains the queue (iteratively —
-  /// no recursion, so inline pools and deep queues are safe).
-  void RunWorker(SessionId first);
-
   /// Runs one admitted session to completion (no lock held).
   void RunOne(SessionId id);
 
@@ -249,10 +256,9 @@ class SessionManager {
       const relational::Database& db);
 
   /// Marks `id` finished, retires its database, advances the in-order
-  /// commit frontier, wakes waiters, and either hands back the next queued
-  /// session id (slot reuse) or releases the slot. Fires the finish
-  /// observer outside the lock.
-  std::optional<SessionId> FinishAndDequeue(SessionId id);
+  /// commit frontier, releases its admission slot and wakes waiters. Fires
+  /// the finish observer outside the lock.
+  void Finish(SessionId id);
 
   const relational::Database* base_;
   QuestionBroker* broker_;
@@ -262,9 +268,9 @@ class SessionManager {
   mutable common::Mutex mu_;
   mutable std::condition_variable_any cv_;
   uint64_t next_id_ QOCO_GUARDED_BY(mu_) = 1;
+  /// Sessions admitted and not finished, and those of them started.
   size_t active_ QOCO_GUARDED_BY(mu_) = 0;
   size_t running_ QOCO_GUARDED_BY(mu_) = 0;
-  std::deque<SessionId> queued_ QOCO_GUARDED_BY(mu_);
   /// Sessions admitted and not yet handed over by Wait.
   std::map<SessionId, std::unique_ptr<SessionState>> sessions_
       QOCO_GUARDED_BY(mu_);

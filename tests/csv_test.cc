@@ -175,7 +175,8 @@ TEST_F(CsvTest, IdSpaceWriterMatchesMaterializedEncoding) {
     for (const ITuple& row : db.relation(id).rows()) {
       Tuple t = MaterializeTuple(row, db.dict());
       for (size_t i = 0; i < t.size(); ++i) {
-        out += (i > 0 ? "," : "") + EncodeCsvField(t[i]);
+        if (i > 0) out += ",";
+        out += EncodeCsvField(t[i]);
       }
       out += "\n";
     }

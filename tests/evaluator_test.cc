@@ -332,8 +332,9 @@ TEST(EvaluatorWitnessOrderTest, SoccerQueriesMatchLinearReference) {
     ASSERT_TRUE(q.ok());
     EvalResult result = eval.Evaluate(*q);
     EXPECT_FALSE(result.empty()) << "Q" << qi;
-    const size_t shared =
-        ExpectReferenceWitnessOrder(*q, result, "Q" + std::to_string(qi));
+    std::string label = "Q";
+    label += std::to_string(qi);
+    const size_t shared = ExpectReferenceWitnessOrder(*q, result, label);
     if (qi == 1 || qi == 2 || qi == 4) {
       EXPECT_GT(shared, 0u) << "Q" << qi;
     }

@@ -46,7 +46,8 @@ RandomInstance MakeRandomInstance(common::Rng* rng) {
     size_t arity = 1 + rng->Index(3);
     std::vector<std::string> attrs;
     for (size_t a = 0; a < arity; ++a) {
-      attrs.push_back("a" + std::to_string(a));
+      attrs.push_back("a");
+      attrs.back() += std::to_string(a);
     }
     relations.push_back(
         out.catalog->AddRelation("R" + std::to_string(r), attrs).value());

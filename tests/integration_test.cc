@@ -102,10 +102,12 @@ std::vector<SweepCase> AllCases() {
 INSTANTIATE_TEST_SUITE_P(
     SoccerQueries, PerfectOracleSweep, ::testing::ValuesIn(AllCases()),
     [](const ::testing::TestParamInfo<SweepCase>& info) {
-      std::string name = "Q" + std::to_string(info.param.query_index) + "_" +
-                         cleaning::DeletionPolicyName(info.param.policy) +
-                         std::string("_") +
-                         cleaning::SplitStrategyName(info.param.strategy);
+      std::string name = "Q";
+      name += std::to_string(info.param.query_index);
+      name += "_";
+      name += cleaning::DeletionPolicyName(info.param.policy);
+      name += "_";
+      name += cleaning::SplitStrategyName(info.param.strategy);
       // gtest parameter names must be alphanumeric ("QOCO-" is not).
       std::string sanitized;
       for (char c : name) {

@@ -163,10 +163,12 @@ TEST_F(JournalTest, RecoverSnapshotPlusJournal) {
   journal.Append(false, {r_, {Value("old"), Value(1)}}, catalog_);
   journal.Append(true, {r_, {Value("new"), Value(2)}}, catalog_);
 
-  auto recovered = RecoverDatabase(&catalog_, snapshot, journal.contents());
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_FALSE(recovered->Contains({r_, {Value("old"), Value(1)}}));
-  EXPECT_TRUE(recovered->Contains({r_, {Value("new"), Value(2)}}));
+  Database recovered(&catalog_);
+  ASSERT_TRUE(LoadDatabaseFromCsv(snapshot, &recovered).ok());
+  common::Status replayed = ReplayJournal(journal.contents(), &recovered);
+  ASSERT_TRUE(replayed.ok()) << replayed.ToString();
+  EXPECT_FALSE(recovered.Contains({r_, {Value("old"), Value(1)}}));
+  EXPECT_TRUE(recovered.Contains({r_, {Value("new"), Value(2)}}));
 }
 
 TEST(JournalSessionTest, CleaningSessionSurvivesCrashReplay) {
@@ -192,10 +194,10 @@ TEST(JournalSessionTest, CleaningSessionSurvivesCrashReplay) {
                    *s.catalog);
   }
 
-  auto recovered =
-      RecoverDatabase(s.catalog.get(), snapshot, journal.contents());
-  ASSERT_TRUE(recovered.ok());
-  EXPECT_EQ(recovered->Distance(db), 0u);
+  Database recovered(s.catalog.get());
+  ASSERT_TRUE(LoadDatabaseFromCsv(snapshot, &recovered).ok());
+  ASSERT_TRUE(ReplayJournal(journal.contents(), &recovered).ok());
+  EXPECT_EQ(recovered.Distance(db), 0u);
 }
 
 }  // namespace

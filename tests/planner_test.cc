@@ -44,6 +44,15 @@ using relational::Tuple;
 using relational::Value;
 using relational::ValueId;
 
+/// `prefix` followed by `i` in decimal. Built by appending, because GCC 12
+/// misdiagnoses `"f" + std::to_string(i)` at -O3 (-Wrestrict, GCC
+/// PR105329).
+std::string Named(const char* prefix, int i) {
+  std::string name = prefix;
+  name += std::to_string(i);
+  return name;
+}
+
 // ---------------------------------------------------------------------------
 // IntersectSortedIds.
 // ---------------------------------------------------------------------------
@@ -237,7 +246,7 @@ TEST_F(PlannerTest, FullyResolvedAtomEstimatesAtMostOneRow) {
   // list it touches is longer than the alternatives.
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(db_->Insert({facts_,
-                             {Value("k"), Value("tag" + std::to_string(i))}})
+                             {Value("k"), Value(Named("tag", i))}})
                     .ok());
   }
   ASSERT_TRUE(db_->Insert({facts_, {Value("k2"), Value("tag0")}}).ok());
@@ -315,10 +324,8 @@ TEST_F(PlannerTest, SemiJoinFiltersRootAndBuildsAllowedSets) {
 TEST_F(PlannerTest, EmptyDomainIntersectionIsInfeasible) {
   // Shared variable with disjoint column domains: provably empty.
   for (int i = 0; i < 64; ++i) {
-    ASSERT_TRUE(
-        db_->Insert({facts_, {Value("f" + std::to_string(i)), Value("t")}})
-            .ok());
-    ASSERT_TRUE(db_->Insert({dim_, {Value("d" + std::to_string(i))}}).ok());
+    ASSERT_TRUE(db_->Insert({facts_, {Value(Named("f", i)), Value("t")}}).ok());
+    ASSERT_TRUE(db_->Insert({dim_, {Value(Named("d", i))}}).ok());
   }
   CQuery q = Parse("(x) :- Facts(x, y), Dim(x).");
   ColumnStats stats(db_.get());
@@ -395,7 +402,7 @@ TEST_F(PlannerTest, AllModesComputeTheSameResult) {
   for (int i = 0; i < 80; ++i) {
     ASSERT_TRUE(db_->Insert({facts_,
                              {Value(std::to_string(i % 10)),
-                              Value("t" + std::to_string(i))}})
+                              Value(Named("t", i))}})
                     .ok());
   }
   for (int i = 0; i < 5; ++i) {

@@ -13,6 +13,15 @@ using relational::Value;
 
 const char kDistinguished[] = "d";
 
+/// `prefix` followed by `i` in decimal: Named("u", 3) is "u3". Built by
+/// appending, because GCC 12 misdiagnoses `"u" + std::to_string(i)` at -O3
+/// (-Wrestrict, GCC PR105329).
+std::string Named(const char* prefix, size_t i) {
+  std::string name = prefix;
+  name += std::to_string(i);
+  return name;
+}
+
 }  // namespace
 
 // GCC 12 misdiagnoses the std::variant inside relational::Value temporaries
@@ -34,12 +43,12 @@ common::Result<ReductionInstance> BuildDeletionHardnessInstance(
   for (size_t i = 0; i < n; ++i) {
     QOCO_ASSIGN_OR_RETURN(
         unary[i],
-        out.catalog->AddRelation("R" + std::to_string(i), {"x"}));
+        out.catalog->AddRelation(Named("R", i), {"x"}));
   }
   // The wide relation R(Z, A, X_1, ..., X_n) holding characteristic
   // vectors of the sets.
   std::vector<std::string> wide_attrs = {"z", "a"};
-  for (size_t i = 0; i < n; ++i) wide_attrs.push_back("x" + std::to_string(i));
+  for (size_t i = 0; i < n; ++i) wide_attrs.push_back(Named("x", i));
   QOCO_ASSIGN_OR_RETURN(RelationId wide,
                         out.catalog->AddRelation("R", wide_attrs));
 
@@ -49,7 +58,7 @@ common::Result<ReductionInstance> BuildDeletionHardnessInstance(
 
   for (size_t i = 0; i < n; ++i) {
     Tuple element_row;
-    element_row.push_back(Value("u" + std::to_string(i)));
+    element_row.push_back(Value(Named("u", i)));
     Tuple distinguished_row;
     distinguished_row.push_back(Value(kDistinguished));
     QOCO_RETURN_NOT_OK(
@@ -63,11 +72,11 @@ common::Result<ReductionInstance> BuildDeletionHardnessInstance(
   for (size_t j = 0; j < instance.sets.size(); ++j) {
     Tuple row;
     row.push_back(Value(kDistinguished));
-    row.push_back(Value("S" + std::to_string(j)));
+    row.push_back(Value(Named("S", j)));
     std::vector<bool> member(n, false);
     for (int e : instance.sets[j]) member[static_cast<size_t>(e)] = true;
     for (size_t i = 0; i < n; ++i) {
-      row.push_back(member[i] ? Value("u" + std::to_string(i))
+      row.push_back(member[i] ? Value(Named("u", i))
                               : Value(kDistinguished));
     }
     QOCO_RETURN_NOT_OK(out.dirty->Insert(Fact{wide, row}).status());
@@ -80,7 +89,7 @@ common::Result<ReductionInstance> BuildDeletionHardnessInstance(
   std::vector<query::Atom> atoms;
   for (size_t i = 0; i < n; ++i) {
     query::VarId w = static_cast<query::VarId>(var_names.size());
-    var_names.push_back("w" + std::to_string(i));
+    var_names.push_back(Named("w", i));
     wide_terms.push_back(query::Term::MakeVar(w));
   }
   atoms.push_back(query::Atom{wide, wide_terms});
@@ -109,7 +118,7 @@ common::Result<ReductionInstance> BuildInsertionHardnessInstance(
   for (size_t i = 0; i < clauses.size(); ++i) {
     QOCO_ASSIGN_OR_RETURN(
         clause_rel[i],
-        out.catalog->AddRelation("C" + std::to_string(i),
+        out.catalog->AddRelation(Named("C", i),
                                  {"a", "l1", "l2", "l3"}));
   }
 
@@ -140,7 +149,7 @@ common::Result<ReductionInstance> BuildInsertionHardnessInstance(
   // across clauses by SAT-variable identity.
   std::vector<std::string> var_names = {"x"};
   for (int v = 0; v < num_vars; ++v) {
-    var_names.push_back("X" + std::to_string(v));
+    var_names.push_back(Named("X", v));
   }
   std::vector<query::Atom> atoms;
   for (size_t i = 0; i < clauses.size(); ++i) {

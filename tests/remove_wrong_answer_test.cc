@@ -242,7 +242,8 @@ TEST_F(RemoveWrongAnswerTest, DependsOnlyOnTheWitnessSet) {
             DeletionPolicy::kRandom, DeletionPolicy::kResponsibility,
             DeletionPolicy::kLeastTrusted}) {
         for (size_t batch : {1, 3}) {
-          std::string where = "Q" + std::to_string(qi) + " " + answer;
+          std::string where = "Q";
+          where += std::to_string(qi) + " " + answer;
           where += std::string(" ") + cleaning::DeletionPolicyName(policy);
           where += " batch " + std::to_string(batch);
           SCOPED_TRACE(where);

@@ -18,8 +18,9 @@
 //    final facts from the snapshot and the journal (also on a pool thread
 //    while another session runs, and for a session whose step failed).
 //
-// One test leaves the harness on purpose: crowd::BlockingOracleAdapter is
-// exercised over a RealtimeClock, the pairing a deployment uses.
+// One test leaves the harness on purpose: a BlockingOracleAdapter (a
+// blocking oracle behind the async interface, answering inline or from a
+// dispatch pool) runs over a RealtimeClock, the pairing a deployment uses.
 
 #include <gtest/gtest.h>
 
@@ -138,6 +139,34 @@ class TestAsyncOracle : public crowd::AsyncOracle {
   Script script_ QOCO_GUARDED_BY(mu_);
   std::unordered_map<std::string, std::vector<Tick>> issue_ticks_
       QOCO_GUARDED_BY(mu_);
+};
+
+/// Adapts a blocking Oracle to the async interface. With a dispatch pool
+/// the blocking call runs on a pool worker and `done` fires from that
+/// worker (questions in flight concurrently = pool width); without one the
+/// call runs inline and `done` fires before Ask returns. The inner oracle
+/// must be thread-safe if the pool has more than one worker
+/// (SimulatedOracle is: it only reads the ground truth).
+class BlockingOracleAdapter : public crowd::AsyncOracle {
+ public:
+  explicit BlockingOracleAdapter(crowd::Oracle* inner,
+                                 common::ThreadPool* dispatch = nullptr)
+      : inner_(inner), dispatch_(dispatch) {}
+
+  void Ask(const Question& q, Completion done) override {
+    if (dispatch_ == nullptr) {
+      done(crowd::AskOracleBlocking(inner_, q));
+      return;
+    }
+    crowd::Oracle* inner = inner_;
+    common::Status submitted = dispatch_->Submit(
+        [inner, q, done] { done(crowd::AskOracleBlocking(inner, q)); });
+    if (!submitted.ok()) done(submitted);
+  }
+
+ private:
+  crowd::Oracle* inner_;
+  common::ThreadPool* dispatch_;
 };
 
 // ---------------------------------------------------------------------------
@@ -822,34 +851,56 @@ TEST_F(ServiceTest, OracleFailureFailsSessionCleanlyAndLateAnswerIsDiscarded) {
 
 TEST_F(ServiceTest, AdmissionControlQueuesThenRejects) {
   ServiceStack st(*s_, /*threads=*/2, BrokerConfig{},
-                  ServiceLimits{.max_active_sessions = 1,
-                                .max_queued_sessions = 1});
+                  ServiceLimits{.max_sessions = 3});
   st.oracle.set_script(
       [](const Question&, size_t) { return OracleBehavior{.latency = 1}; });
   ScheduleDriver driver(&st.clock);
   driver.Attach(&st.broker, &st.manager);
-  driver.AddLive(2);
+  driver.AddLive(3);
 
-  auto id1 = st.manager.Submit(SpecOf({kQ1}, 1));
-  ASSERT_TRUE(id1.ok());
-  EXPECT_EQ(st.manager.ActiveSessions(), 1u);
-  auto id2 = st.manager.Submit(SpecOf({kQ1}, 2));
-  ASSERT_TRUE(id2.ok());
-  EXPECT_EQ(st.manager.QueuedSessions(), 1u);
-  // Active slot taken, queue full: admission fails fast, no session state.
-  auto id3 = st.manager.Submit(SpecOf({kQ1}, 3));
-  ASSERT_FALSE(id3.ok());
-  EXPECT_EQ(id3.status().code(), common::StatusCode::kResourceExhausted);
+  std::vector<SessionId> ids;
+  for (uint64_t seed : {1, 2, 3}) {
+    auto id = st.manager.Submit(SpecOf({kQ1}, seed));
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ids.push_back(*id);
+  }
+  // Nothing finishes before the clock moves, and two workers start at most
+  // two sessions: the third waits in the pool's queue.
+  EXPECT_EQ(st.manager.ActiveSessions(), 3u);
+  EXPECT_GE(st.manager.QueuedSessions(), 1u);
+  // max_sessions reached: admission fails fast, no session state.
+  auto rejected = st.manager.Submit(SpecOf({kQ1}, 4));
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), common::StatusCode::kResourceExhausted);
 
   ASSERT_TRUE(driver.Drive());
   st.manager.WaitIdle();
   EXPECT_EQ(st.manager.ActiveSessions(), 0u);
   EXPECT_EQ(st.manager.QueuedSessions(), 0u);
-  for (SessionId id : {*id1, *id2}) {
+  for (SessionId id : ids) {
     auto result = st.manager.Wait(id);
     ASSERT_TRUE(result.ok());
     EXPECT_TRUE(result->status.ok()) << result->status.ToString();
   }
+}
+
+/// A pool that refuses work fails the session it was handed without running
+/// it: nothing journaled, nothing committed, no database left behind.
+TEST_F(ServiceTest, SubmitToAShutDownPoolFailsTheSessionUnrun) {
+  ServiceStack st(*s_, /*threads=*/2);
+  st.pool.Shutdown();
+  auto id = st.manager.Submit(SpecOf({kQ1}, 1));
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  EXPECT_EQ(st.manager.ActiveSessions(), 0u);
+  EXPECT_EQ(st.manager.QueuedSessions(), 0u);
+  EXPECT_EQ(st.manager.PrivateDatabases(), 0u);
+
+  auto result = st.manager.Wait(*id);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->status.code(), common::StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(result->journal.empty());
+  EXPECT_EQ(st.manager.PrivateDatabases(), 0u);
+  EXPECT_TRUE(st.manager.CommitJournalContents().empty());
 }
 
 TEST_F(ServiceTest, SnapshotIsolationAndInOrderCommit) {
@@ -1265,9 +1316,9 @@ TEST_F(ServiceTest, WaitRendersOnAPoolThreadWhileAnotherSessionRuns) {
   EXPECT_EQ(st.manager.PrivateDatabases(), 0u);
 }
 
-/// crowd::BlockingOracleAdapter in front of the broker, answering inline and
-/// from a dispatch pool, on a RealtimeClock: the session equals its solo
-/// run and asks the crowd each question once.
+/// BlockingOracleAdapter in front of the broker, answering inline and from a
+/// dispatch pool, on a RealtimeClock: the session equals its solo run and
+/// asks the crowd each question once.
 TEST_F(ServiceTest, BlockingOracleAdapterSessionMatchesSoloRun) {
   SessionSpec spec = SpecOf({kQ1, kQ2}, 11);
   crowd::SimulatedOracle reference_oracle(s_->ground_truth.get());
@@ -1280,7 +1331,7 @@ TEST_F(ServiceTest, BlockingOracleAdapterSessionMatchesSoloRun) {
     if (dispatch_width > 0) {
       dispatch = std::make_unique<common::ThreadPool>(dispatch_width);
     }
-    crowd::BlockingOracleAdapter adapter(&sim, dispatch.get());
+    BlockingOracleAdapter adapter(&sim, dispatch.get());
     RealtimeClock clock;
     QuestionBroker broker(&adapter, &clock);
     common::ThreadPool pool(2);

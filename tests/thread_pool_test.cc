@@ -1,10 +1,10 @@
-// Lifecycle and corruption-injection tests for the work-stealing
-// common::ThreadPool — the suite the TSan CI leg runs with real
-// concurrency. Covers the inline (single-thread) degradation, Wait draining
-// submitted work, Submit rejection after Shutdown, work stealing draining
-// the queue behind a blocked worker, and the pool's own AuditInvariants()
-// both passing under heavy traffic and firing on an injected accounting
-// corruption.
+// Lifecycle and corruption-injection tests for common::ThreadPool and its
+// one FIFO queue — the suite the TSan CI leg runs with real concurrency.
+// Covers the inline (single-thread) degradation, Wait draining submitted
+// work, Submit rejection after Shutdown, a free worker draining the queue
+// behind a blocked one in Submit order, and the pool's own
+// AuditInvariants() both passing under heavy traffic and firing on an
+// injected accounting corruption.
 
 #include "src/common/thread_pool.h"
 
@@ -14,6 +14,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -75,26 +76,50 @@ TEST(ThreadPool, SubmitAfterShutdownIsRejectedWithFailedPrecondition) {
   EXPECT_TRUE(pool.AuditInvariants().ok());
 }
 
-TEST(ThreadPool, StealingDrainsWorkQueuedBehindABlockedTask) {
-  ThreadPool pool(2);
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  bool blocker_started = false;
-  // The blocker parks one worker. Submit round-robins across the two
-  // worker queues, so some of the quick tasks land behind the blocker;
-  // they can only finish if the free worker steals them.
-  ASSERT_TRUE(pool.Submit([&] {
-                    std::unique_lock<std::mutex> lk(mu);
-                    blocker_started = true;
-                    cv.notify_all();
-                    cv.wait(lk, [&] { return release; });
-                  })
-                  .ok());
-  {
-    std::unique_lock<std::mutex> lk(mu);
-    cv.wait(lk, [&] { return blocker_started; });
+/// Parks one pool worker on a task that blocks until Release().
+class WorkerHold {
+ public:
+  /// Submits the blocking task and returns once a worker has started it.
+  void Hold(ThreadPool* pool) {
+    ASSERT_TRUE(pool->Submit([this] {
+                      std::unique_lock<std::mutex> lk(mu_);
+                      started_ = true;
+                      cv_.notify_all();
+                      cv_.wait(lk, [this] { return released_; });
+                    })
+                    .ok());
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [this] { return started_; });
   }
+
+  void Release() {
+    std::unique_lock<std::mutex> lk(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool started_ = false;
+  bool released_ = false;
+};
+
+/// Polls `done` until it holds or a generous deadline passes; normally
+/// returns within microseconds.
+void WaitUntil(const std::function<bool()>& done) {
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+TEST(ThreadPool, FreeWorkerDrainsWorkQueuedBehindABlockedTask) {
+  ThreadPool pool(2);
+  // The blocker parks one worker; the ten quick tasks queued behind it can
+  // only finish if the free worker takes them.
+  WorkerHold hold;
+  hold.Hold(&pool);
   std::atomic<int> quick_done{0};
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(
@@ -102,20 +127,37 @@ TEST(ThreadPool, StealingDrainsWorkQueuedBehindABlockedTask) {
             .ok());
   }
   // All 10 quick tasks must complete while the blocker still holds its
-  // worker. Generous deadline; normally finishes in microseconds.
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (quick_done.load() < 10 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  // worker.
+  WaitUntil([&] { return quick_done.load() == 10; });
   EXPECT_EQ(quick_done.load(), 10)
-      << "free worker failed to steal from the blocked worker's queue";
-  {
-    std::unique_lock<std::mutex> lk(mu);
-    release = true;
-    cv.notify_all();
-  }
+      << "the free worker left work queued behind the blocked one";
+  hold.Release();
   pool.Wait();
+  EXPECT_TRUE(pool.AuditInvariants().ok());
+}
+
+TEST(ThreadPool, QueuedTasksStartInSubmitOrder) {
+  ThreadPool pool(2);
+  // With one worker parked, the other runs every queued task alone, so the
+  // order they record is the order they started.
+  WorkerHold hold;
+  hold.Hold(&pool);
+  std::mutex mu;
+  std::vector<int> started;
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(pool.Submit([&, i] {
+                      std::lock_guard<std::mutex> lk(mu);
+                      started.push_back(i);
+                    })
+                    .ok());
+  }
+  WaitUntil([&] {
+    std::lock_guard<std::mutex> lk(mu);
+    return started.size() == 10;
+  });
+  hold.Release();
+  pool.Wait();
+  EXPECT_EQ(started, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
   EXPECT_TRUE(pool.AuditInvariants().ok());
 }
 
@@ -145,7 +187,7 @@ TEST(ThreadPoolAudit, InjectedAccountingCorruptionFires) {
   std::atomic<int> sink{0};
   SubmitWave(&pool, 32, &sink);
   ASSERT_TRUE(pool.AuditInvariants().ok());
-  // A phantom completion breaks submitted == completed + running + pending.
+  // A phantom completion breaks submitted == completed + running + queued.
   ThreadPoolCorruptor::InjectPhantomCompletion(&pool);
   Status audit = pool.AuditInvariants();
   ASSERT_FALSE(audit.ok());
